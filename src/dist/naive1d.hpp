@@ -211,7 +211,7 @@ DistMatrix1D<VT> spgemm_naive_ring_1d(
       auto ph = comm.phase(plan != nullptr ? Phase::Plan : Phase::Other);
       const std::uint64_t before = acc.triples().size();
       rep.mem_charge(before, before * tb);  // merge out-buffer transient
-      smerge.round(acc.triples(), [](VT x, VT y) { return SR::add(x, y); },
+      smerge.round(acc, [](VT x, VT y) { return SR::add(x, y); },
                    plan != nullptr ? &plan->acc_dst : nullptr,
                    plan != nullptr ? &plan->acc_first : nullptr);
       const std::uint64_t after = acc.triples().size();

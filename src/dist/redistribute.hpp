@@ -13,6 +13,7 @@
 // to the fresh result. DistSpgemmPlan (dist/dist_plan.hpp) builds on this.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <numeric>
 #include <string>
@@ -24,10 +25,6 @@
 #include "sparse/coo.hpp"
 
 namespace sa1d {
-
-// merge_triples_stable and its streaming round-by-round twin
-// (StreamingTripleMerge) live in sparse/coo.hpp next to the triple type;
-// every consumer here reaches them through the include above.
 
 /// Resolves and validates the q_r × q_c process grid for P ranks: auto
 /// shape when both overrides are 0 (nearest-square factorization — always
@@ -145,58 +142,69 @@ CscMatrix<VT> redistribute_1d_to_2d_grid(Comm& comm, const DistMatrix1D<VT>& m,
                      row_bounds[static_cast<std::size_t>(my_bi)];
   const index_t nc = col_bounds[static_cast<std::size_t>(my_bj) + 1] -
                      col_bounds[static_cast<std::size_t>(my_bj)];
-  CooMatrix<VT> blk(nr, nc);
   std::vector<std::vector<Triple<VT>>> recv(static_cast<std::size_t>(P));
   auto& rep = comm.report();
   constexpr std::uint64_t tb = sizeof(Triple<VT>);
+  std::uint64_t arrived = 0;
   if (overlap) {
-    // Pipelined receive: fold each source's chunk into the block as it
-    // arrives, in ascending rank order — the same flat order the blocking
-    // path consumes, so the block (and any captured route) is bit-identical;
-    // later chunks' modeled transfer time hides behind earlier chunks' push
-    // work.
+    // Pipelined receive: take each source's chunk as it arrives, in
+    // ascending rank order — the same flat order the blocking path
+    // consumes, so the block (and any captured route) is bit-identical.
     auto req = comm.ialltoallv(std::move(send));
     for (int p = 0; p < P; ++p) {
       recv[static_cast<std::size_t>(p)] = req.take_from(p);
       auto ph_push = comm.phase(Phase::Other);
+      arrived += recv[static_cast<std::size_t>(p)].size();
       rep.mem_charge(recv[static_cast<std::size_t>(p)].size(),
                      recv[static_cast<std::size_t>(p)].size() * tb);  // block assembly
-      for (auto& t : recv[static_cast<std::size_t>(p)]) blk.push(t.row, t.col, t.val);
     }
   } else {
     recv = comm.alltoallv(send);
     auto ph_push = comm.phase(Phase::Other);
     for (auto& chunk : recv) {
+      arrived += chunk.size();
       rep.mem_charge(chunk.size(), chunk.size() * tb);  // block assembly
-      for (auto& t : chunk) blk.push(t.row, t.col, t.val);
     }
   }
+  // Block assembly: one stable counting sort of the arrivals by block
+  // column. Each global column lives on exactly one source rank, which
+  // packed it with rows ascending, so every block column arrives as one
+  // row-sorted run and the counting order is the canonical (col, row)
+  // order — no comparison sort, and each flat arrival's slot in it is the
+  // receiver placement a route records.
   auto ph = comm.phase(Phase::Other);
-  // The source was canonical and each nonzero has one target, so this only
-  // sorts — no duplicate can arise, and the merge is semiring-neutral.
-  blk.canonicalize();
-  auto out = CscMatrix<VT>::from_coo(blk);
-  // The COO assembly buffer dies here; the CSC block it became is a
-  // resident operand block, outside the transient-triples budget.
-  rep.mem_release(blk.triples().size(), blk.triples().size() * tb);
+  std::vector<index_t> colptr(static_cast<std::size_t>(nc) + 1, 0);
+  for (const auto& chunk : recv)
+    for (const auto& t : chunk) ++colptr[static_cast<std::size_t>(t.col) + 1];
+  for (std::size_t j = 0; j < static_cast<std::size_t>(nc); ++j) colptr[j + 1] += colptr[j];
+  std::vector<index_t> next(colptr.begin(), colptr.end() - 1);
+  std::vector<index_t> rowids(arrived);
+  std::vector<VT> vals(arrived);
+  std::vector<index_t> place(route != nullptr ? arrived : 0);
+  std::size_t flat = 0;
+  for (const auto& chunk : recv)
+    for (const auto& t : chunk) {
+      const auto k = static_cast<std::size_t>(next[static_cast<std::size_t>(t.col)]++);
+      rowids[k] = t.row;
+      vals[k] = t.val;
+      if (route != nullptr) place[flat++] = static_cast<index_t>(k);
+    }
+  bool rows_sorted = true;
+  for (std::size_t j = 0; j < static_cast<std::size_t>(nc); ++j)
+    for (auto k = static_cast<std::size_t>(colptr[j]) + 1;
+         k < static_cast<std::size_t>(colptr[j + 1]); ++k)
+      rows_sorted &= rowids[k - 1] < rowids[k];
+  require(rows_sorted, "redistribute_1d_to_2d_grid: a block column arrived out of row order");
+  CscMatrix<VT> out(nr, nc, std::move(colptr), std::move(rowids), std::move(vals));
+  // The assembly buffer dies here; the CSC block it became is a resident
+  // operand block, outside the transient-triples budget.
+  rep.mem_release(arrived, arrived * tb);
   if (route != nullptr) {
-    // Receiver placement: (col, row) keys are unique, so each flat incoming
-    // position maps to exactly one slot of the canonical block — structural
-    // work, accounted as Plan.
     auto ph_plan = comm.phase(Phase::Plan);
     route->recv_counts.assign(static_cast<std::size_t>(P), 0);
-    std::vector<Triple<index_t>> keyed;  // (row, col, flat) in arrival order
-    index_t flat = 0;
-    for (std::size_t r = 0; r < recv.size(); ++r) {
+    for (std::size_t r = 0; r < recv.size(); ++r)
       route->recv_counts[r] = static_cast<index_t>(recv[r].size());
-      for (const auto& t : recv[r]) keyed.push_back({t.row, t.col, flat++});
-    }
-    std::sort(keyed.begin(), keyed.end(), [](const Triple<index_t>& a, const Triple<index_t>& b) {
-      return a.col != b.col ? a.col < b.col : a.row < b.row;
-    });
-    route->recv_place.assign(keyed.size(), 0);
-    for (std::size_t i = 0; i < keyed.size(); ++i)
-      route->recv_place[static_cast<std::size_t>(keyed[i].val)] = static_cast<index_t>(i);
+    route->recv_place = std::move(place);
     route->block = out;
   }
   return out;
@@ -298,7 +306,9 @@ struct ScatterRoute {
 /// of the same entry from different SUMMA stages or 3D layers — with the
 /// semiring's ⊕ (deterministically: ties fold in arrival order, so a
 /// captured program replays bit-exactly). One all-to-all by column owner;
-/// the result is born distributed (no global gather). Collective. `route`
+/// the result is born distributed (no global gather). Collective. `part`
+/// must be column-sorted (the backends pass their merged, canonical
+/// partials), so each destination's share is one contiguous run. `route`
 /// (optional) captures the value-only replay program.
 template <typename SR, typename VT>
 DistMatrix1D<VT> redistribute_coo_to_1d(Comm& comm, const CooMatrix<VT>& part, index_t nrows,
@@ -311,14 +321,22 @@ DistMatrix1D<VT> redistribute_coo_to_1d(Comm& comm, const CooMatrix<VT>& part, i
   std::vector<std::vector<Triple<VT>>> send(static_cast<std::size_t>(P));
   {
     auto ph = comm.phase(Phase::Other);
+    const auto& pt = part.triples();
+    require(std::is_sorted(pt.begin(), pt.end(),
+                           [](const auto& x, const auto& y) { return x.col < y.col; }),
+            "redistribute_coo_to_1d: the partial must be column-sorted");
     if (route != nullptr) route->send_src.assign(static_cast<std::size_t>(P), {});
-    index_t pos = 0;
-    for (const auto& t : part.triples()) {
-      const auto dest = static_cast<std::size_t>(
-          find_owner(std::span<const index_t>(out_bounds), t.col));
-      send[dest].push_back(t);
-      if (route != nullptr) route->send_src[dest].push_back(pos);
-      ++pos;
+    const auto by_col = [](const Triple<VT>& t, index_t c) { return t.col < c; };
+    auto run_lo = pt.begin();
+    for (std::size_t d = 0; d < static_cast<std::size_t>(P); ++d) {
+      const auto run_hi = std::lower_bound(run_lo, pt.end(), out_bounds[d + 1], by_col);
+      send[d].assign(run_lo, run_hi);
+      if (route != nullptr) {
+        auto& src = route->send_src[d];
+        src.resize(send[d].size());
+        std::iota(src.begin(), src.end(), static_cast<index_t>(run_lo - pt.begin()));
+      }
+      run_lo = run_hi;
     }
   }
   const index_t lo = out_bounds[static_cast<std::size_t>(comm.rank())];
@@ -343,10 +361,11 @@ DistMatrix1D<VT> redistribute_coo_to_1d(Comm& comm, const CooMatrix<VT>& part, i
     counts[static_cast<std::size_t>(p)] = static_cast<index_t>(chunk.size());
     auto ph_push = comm.phase(Phase::Other);
     rep.mem_charge(chunk.size(), chunk.size() * tb);  // accumulator growth
+    local.triples().reserve(local.triples().size() + chunk.size());
     for (auto& t : chunk) local.push(t.row, t.col - lo, t.val);
     const std::uint64_t before = local.triples().size();
     rep.mem_charge(before, before * tb);  // merge output buffer
-    smerge.round(local.triples(), add, route != nullptr ? &dst : nullptr,
+    smerge.round(local, add, route != nullptr ? &dst : nullptr,
                  route != nullptr ? &first : nullptr);
     const std::uint64_t after = local.triples().size();
     rep.mem_release(2 * before - after, (2 * before - after) * tb);

@@ -237,6 +237,7 @@ void summa_stages(Comm& comm, GridShape grid, const CscMatrix<VT>& my_a,
     {
       auto ph = comm.phase(Phase::Other);
       const std::size_t pre = acc.triples().size();
+      acc.triples().reserve(pre + static_cast<std::size_t>(c_blk.nnz()));
       for (index_t j = 0; j < c_blk.ncols(); ++j) {
         auto rows = c_blk.col_rows(j);
         auto vals = c_blk.col_vals(j);
@@ -256,7 +257,7 @@ void summa_stages(Comm& comm, GridShape grid, const CscMatrix<VT>& my_a,
       auto ph = comm.phase(sched != nullptr ? Phase::Plan : Phase::Other);
       const std::uint64_t before = acc.triples().size();
       rep.mem_charge(before, before * tb);  // merge out-buffer transient
-      smerge.round(acc.triples(), [](VT x, VT y) { return SR::add(x, y); },
+      smerge.round(acc, [](VT x, VT y) { return SR::add(x, y); },
                    sched != nullptr ? &sched->acc_dst : nullptr,
                    sched != nullptr ? &sched->acc_first : nullptr);
       const std::uint64_t after = acc.triples().size();
@@ -325,8 +326,8 @@ void summa_stages(Comm& comm, GridShape grid, const CscMatrix<VT>& my_a,
   }
   // The per-stage streaming rounds leave `acc` already merged — the scatter
   // carries post-merge volume (what the cost model prices), not duplicates
-  // per stage — and the composed fold program equals a terminal
-  // merge_triples_stable capture, so replays are interchangeable.
+  // per stage — and the composed fold program is the per-key left fold in
+  // push order, however the rounds fell, so replays are interchangeable.
   if (sched != nullptr) sched->acc_nnz = acc.triples().size();
 }
 

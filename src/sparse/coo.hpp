@@ -2,8 +2,8 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <numeric>
 #include <vector>
 
 #include "util/common.hpp"
@@ -92,107 +92,195 @@ class CooMatrix {
   std::vector<Triple<VT>> t_;
 };
 
-/// Sorts `t` by (col, row) breaking ties by original position and ⊕-merges
-/// duplicates left to right — a *deterministic* merge (std::sort's tie order
-/// is unspecified, so canonicalize_with cannot be replayed bit-exactly).
-/// `dst`/`first` (optional, but only together) capture the fold program:
-/// original triple i lands in output slot (*dst)[i], assigning when
-/// (*first)[i] and ⊕-accumulating otherwise — replaying the program in
-/// original order reproduces the merged values bit for bit.
-template <typename Add, typename VT>
-void merge_triples_stable(std::vector<Triple<VT>>& t, Add add,
-                          std::vector<index_t>* dst = nullptr,
-                          std::vector<std::uint8_t>* first = nullptr) {
-  require((dst == nullptr) == (first == nullptr),
-          "merge_triples_stable: dst and first capture the fold program together — "
-          "pass both or neither");
-  std::vector<index_t> perm(t.size());
-  std::iota(perm.begin(), perm.end(), index_t{0});
-  std::sort(perm.begin(), perm.end(), [&](index_t x, index_t y) {
-    const auto& a = t[static_cast<std::size_t>(x)];
-    const auto& b = t[static_cast<std::size_t>(y)];
-    if (a.col != b.col) return a.col < b.col;
-    if (a.row != b.row) return a.row < b.row;
-    return x < y;
-  });
-  if (dst != nullptr) {
-    dst->assign(t.size(), 0);
-    first->assign(t.size(), 0);
-  }
-  std::vector<Triple<VT>> out;
-  out.reserve(t.size());
-  for (auto i : perm) {
-    const auto& ti = t[static_cast<std::size_t>(i)];
-    if (out.empty() || out.back().col != ti.col || out.back().row != ti.row) {
-      out.push_back(ti);
-      if (dst != nullptr) {
-        (*dst)[static_cast<std::size_t>(i)] = static_cast<index_t>(out.size() - 1);
-        (*first)[static_cast<std::size_t>(i)] = 1;
-      }
-    } else {
-      out.back().val = add(out.back().val, ti.val);
-      if (dst != nullptr) (*dst)[static_cast<std::size_t>(i)] = static_cast<index_t>(out.size() - 1);
-    }
-  }
-  t = std::move(out);
-}
-
-/// Incremental (streaming) variant of merge_triples_stable: call round()
-/// after appending each batch of partial triples — a ring hop, a SUMMA
-/// stage, one scatter chunk — and the vector collapses to canonical form
-/// after every round instead of holding all pushes until a terminal merge.
-/// The peak footprint drops from Σ pushes to (merged so far + one round's
+/// Streaming deterministic merge of partial-product triples: call round()
+/// after appending each batch of pushes — a ring hop, a SUMMA stage, one
+/// scatter chunk — and the accumulator collapses to canonical form after
+/// every round instead of holding all pushes until a terminal merge. The
+/// peak footprint drops from Σ pushes to (merged so far + one round's
 /// pushes), which is what the peak-triples budget bounds.
 ///
-/// Bit-identity and program equivalence: the merged array AND the composed
-/// dst/first fold program after the last round are byte-identical to one
-/// terminal merge_triples_stable over the same pushes in the same order.
-/// Per key, the fold is the left fold in push order both ways — a
-/// previously-merged entry is canonical (unique key, lowest index), so it
-/// sorts before any same-key triple appended later under the
-/// (col, row, original-index) tie-break, and composing each round's capture
-/// through the previous rounds' slots preserves every push's final slot and
-/// assign/accumulate flag. Replay programs captured through either path are
-/// therefore interchangeable.
+/// Semantics: per (col, row) key, the merged value is the left ⊕-fold of
+/// that key's pushes in push order — the first push assigns, every later
+/// one accumulates — so the result is fixed bit for bit for any ⊕, however
+/// the pushes are cut into rounds. `dst`/`first` (optional, but only
+/// together) capture that fold as a program over all pushes so far: push i
+/// lands in merged slot (*dst)[i], assigning when (*first)[i] and
+/// ⊕-accumulating otherwise, so replaying the program over fresh values in
+/// push order reproduces a fresh merge exactly.
+///
+/// Each round is one pass over columns that never sorts the accumulator.
+/// It requires the prefix [0, merged()) to be canonical (it is: the
+/// previous round left it so) and the appended suffix to be column-sorted,
+/// with rows in any order within a column — every caller appends
+/// CSC/DCSC-ordered partials. Per column, the prefix rows are stamped in a
+/// dense row→slot map, only the rows the suffix adds are ordered, the
+/// union is laid out, and the suffix folds in push order through the map:
+/// O(prefix + pushes + new rows · log) per round. A column only one side
+/// touches is copied as is (the suffix's only if its rows are strictly
+/// ascending — a SUMMA stage's first block, a scatter's first chunk).
+/// The map (nrows indices) and its row bitmap are allocated the first time
+/// a column needs them, once per merger; they and the output buffer are
+/// owned here and reused across rounds.
 template <typename VT>
 class StreamingTripleMerge {
  public:
-  /// Canonical prefix length of the vector after the last round().
+  /// Canonical prefix length of the accumulator after the last round().
   [[nodiscard]] std::size_t merged() const { return merged_; }
-  void reset() { merged_ = 0; }
 
-  /// Merges the triples appended since the previous round (positions
-  /// [merged(), t.size())) into the canonical prefix. `dst`/`first`
-  /// (optional, but only together) hold the composed fold program across
-  /// all rounds so far: entries for earlier pushes are remapped through
-  /// this round's slot movement, entries for this round's pushes appended.
+  /// Merges the triples appended to `acc` since the previous round
+  /// (positions [merged(), nnz)) into the canonical prefix. `dst`/`first`
+  /// hold the composed fold program across all rounds so far: entries for
+  /// earlier pushes are remapped through this round's slot movement,
+  /// entries for this round's pushes appended.
   template <typename Add>
-  void round(std::vector<Triple<VT>>& t, Add add, std::vector<index_t>* dst = nullptr,
+  void round(CooMatrix<VT>& acc, Add add, std::vector<index_t>* dst = nullptr,
              std::vector<std::uint8_t>* first = nullptr) {
     require((dst == nullptr) == (first == nullptr),
             "StreamingTripleMerge::round: dst and first capture the fold program "
             "together — pass both or neither");
-    const std::size_t m_prev = merged_;
-    if (t.size() == m_prev) return;  // nothing appended this round
-    if (dst == nullptr) {
-      merge_triples_stable(t, add);
-    } else {
-      std::vector<index_t> rdst;
-      std::vector<std::uint8_t> rfirst;
-      merge_triples_stable(t, add, &rdst, &rfirst);
-      // Compose: earlier pushes' slots move with their canonical entry
-      // (always an "accumulate into existing" from this round's viewpoint,
-      // so their first flags are untouched); this round's pushes append.
-      for (auto& d : *dst) d = rdst[static_cast<std::size_t>(d)];
-      dst->insert(dst->end(), rdst.begin() + static_cast<std::ptrdiff_t>(m_prev), rdst.end());
-      first->insert(first->end(), rfirst.begin() + static_cast<std::ptrdiff_t>(m_prev),
-                    rfirst.end());
+    auto& t = acc.triples();
+    const std::size_t m = merged_, n = t.size();
+    require(m <= n, "StreamingTripleMerge::round: the accumulator shrank below the merged prefix");
+    if (n == m) return;  // nothing appended this round
+    bool sorted = true, in_rows = true;
+    for (std::size_t s = m; s < n; ++s) {
+      sorted &= s == m || t[s - 1].col <= t[s].col;
+      in_rows &= t[s].row >= 0 && t[s].row < acc.nrows();
     }
+    require(sorted,
+            "StreamingTripleMerge::round: the triples appended since the last round must be "
+            "column-sorted (rows may be in any order within a column)");
+    require(in_rows, "StreamingTripleMerge::round: an appended triple's row is out of range");
+    const std::size_t pushed_before = dst != nullptr ? dst->size() : 0;
+    if (dst != nullptr) {
+      remap_.resize(m);
+      dst->reserve(pushed_before + (n - m));
+      first->reserve(pushed_before + (n - m));
+    }
+    out_.clear();
+    out_.reserve(n);
+    std::size_t p = 0, s = m;
+    while (p < m || s < n) {
+      const index_t c = s == n || (p < m && t[p].col < t[s].col) ? t[p].col : t[s].col;
+      std::size_t pe = p, se = s;
+      while (pe < m && t[pe].col == c) ++pe;
+      while (se < n && t[se].col == c) ++se;
+      fold_column(t, acc.nrows(), p, pe, s, se, add, dst, first);
+      p = pe;
+      s = se;
+    }
+    if (dst != nullptr)
+      for (std::size_t i = 0; i < pushed_before; ++i)
+        (*dst)[i] = remap_[static_cast<std::size_t>((*dst)[i])];
+    t.swap(out_);
     merged_ = t.size();
   }
 
  private:
+  // slot_[row] for the column being folded: kAbsent when the row is not in
+  // it, a settled output slot (>= 0) that suffix pushes ⊕-accumulate into,
+  // or pending(slot) for a row new to the column whose first push assigns.
+  static constexpr index_t kAbsent = -1;
+  static constexpr index_t pending(index_t slot) { return -2 - slot; }
+
+  /// Lays out and folds one column: prefix entries [p, pe) (canonical) and
+  /// suffix pushes [s, se) (push order), appending the merged column to out_.
+  template <typename Add>
+  void fold_column(const std::vector<Triple<VT>>& t, index_t nrows, std::size_t p, std::size_t pe,
+                   std::size_t s, std::size_t se, Add& add, std::vector<index_t>* dst,
+                   std::vector<std::uint8_t>* first) {
+    auto copy_prefix = [&](std::size_t q) {
+      if (dst != nullptr) remap_[q] = static_cast<index_t>(out_.size());
+      out_.push_back(t[q]);
+    };
+    auto record = [&](index_t k, bool assign) {
+      if (dst != nullptr) {
+        dst->push_back(k);
+        first->push_back(assign ? 1 : 0);
+      }
+    };
+    std::size_t q = p;
+    if (s == se) {  // no pushes: the prefix column as is
+      while (q < pe) copy_prefix(q++);
+      return;
+    }
+    bool ascending = p == pe;
+    for (std::size_t x = s + 1; x < se && ascending; ++x) ascending = t[x - 1].row < t[x].row;
+    if (ascending) {  // a new column of distinct ascending rows: the pushes as is
+      for (std::size_t x = s; x < se; ++x) {
+        out_.push_back(t[x]);
+        record(static_cast<index_t>(out_.size() - 1), true);
+      }
+      return;
+    }
+    // Stamp the prefix rows, then collect the rows the suffix adds (any
+    // non-absent mark will do until the layout assigns real slots).
+    if (slot_.size() < static_cast<std::size_t>(nrows)) {
+      slot_.resize(static_cast<std::size_t>(nrows), kAbsent);
+      bits_.resize(static_cast<std::size_t>(nrows) / 64 + 1, 0);
+    }
+    for (std::size_t y = p; y < pe; ++y) slot_[static_cast<std::size_t>(t[y].row)] = 0;
+    fresh_.clear();
+    for (std::size_t x = s; x < se; ++x) {
+      auto& sl = slot_[static_cast<std::size_t>(t[x].row)];
+      if (sl == kAbsent) {
+        sl = 0;
+        fresh_.push_back(t[x].row);
+      }
+    }
+    order_fresh();
+    // Lay out the union of prefix rows and new rows in row order.
+    auto place_prefix = [&](std::size_t y) {
+      slot_[static_cast<std::size_t>(t[y].row)] = static_cast<index_t>(out_.size());
+      copy_prefix(y);
+    };
+    for (const index_t r : fresh_) {
+      while (q < pe && t[q].row < r) place_prefix(q++);
+      slot_[static_cast<std::size_t>(r)] = pending(static_cast<index_t>(out_.size()));
+      out_.push_back({r, t[s].col, VT{}});
+    }
+    while (q < pe) place_prefix(q++);
+    // Fold the suffix in push order.
+    for (std::size_t x = s; x < se; ++x) {
+      auto& sl = slot_[static_cast<std::size_t>(t[x].row)];
+      const bool assign = sl < kAbsent;
+      if (assign) sl = pending(sl);  // pending() is its own inverse
+      auto& v = out_[static_cast<std::size_t>(sl)].val;
+      v = assign ? t[x].val : add(v, t[x].val);
+      record(sl, assign);
+    }
+    for (std::size_t y = p; y < pe; ++y) slot_[static_cast<std::size_t>(t[y].row)] = kAbsent;
+    for (const index_t r : fresh_) slot_[static_cast<std::size_t>(r)] = kAbsent;
+  }
+
+  /// Sorts fresh_ (distinct rows). When they are dense in their range (at
+  /// least two per 64-row word), setting their bits and scanning the words
+  /// is O(new rows) and beats a comparison sort; sparser rows are sorted by
+  /// comparison, so a hypersparse column never pays for its empty range.
+  void order_fresh() {
+    if (std::is_sorted(fresh_.begin(), fresh_.end())) return;
+    const auto [lo, hi] = std::minmax_element(fresh_.begin(), fresh_.end());
+    const auto wlo = static_cast<std::size_t>(*lo) / 64, whi = static_cast<std::size_t>(*hi) / 64;
+    if (2 * (whi - wlo + 1) > fresh_.size()) {
+      std::sort(fresh_.begin(), fresh_.end());
+      return;
+    }
+    for (const index_t r : fresh_)
+      bits_[static_cast<std::size_t>(r) / 64] |= std::uint64_t{1} << (r % 64);
+    std::size_t k = 0;
+    for (std::size_t w = wlo; w <= whi; ++w) {
+      for (std::uint64_t b = bits_[w]; b != 0; b &= b - 1)
+        fresh_[k++] = static_cast<index_t>(w * 64 + static_cast<std::size_t>(std::countr_zero(b)));
+      bits_[w] = 0;
+    }
+  }
+
   std::size_t merged_ = 0;
+  std::vector<index_t> slot_;         ///< row → slot map, kAbsent between columns; sized on first use
+  std::vector<std::uint64_t> bits_;   ///< row bitmap for order_fresh, zero between columns
+  std::vector<index_t> fresh_;        ///< rows the current column's suffix adds
+  std::vector<index_t> remap_;        ///< prefix position → merged slot (capture only)
+  std::vector<Triple<VT>> out_;       ///< merged output; swapped with the accumulator
 };
 
 }  // namespace sa1d

@@ -54,8 +54,28 @@ class DcscMatrix {
     return out;
   }
 
+  /// Conversion from COO. Canonical input is read in place; anything else
+  /// is canonicalized (⊕ = +) in a copy first.
   static DcscMatrix from_coo(const CooMatrix<VT>& coo) {
-    return from_csc(CscMatrix<VT>::from_coo(coo));
+    if (!coo.is_canonical()) {
+      CooMatrix<VT> c = coo;
+      c.canonicalize();
+      return from_coo(c);
+    }
+    const auto& t = coo.triples();
+    DcscMatrix out(coo.nrows(), coo.ncols());
+    out.ir_.resize(t.size());
+    out.vals_.resize(t.size());
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      if (i == 0 || t[i].col != t[i - 1].col) {
+        if (i != 0) out.cp_.push_back(static_cast<index_t>(i));
+        out.jc_.push_back(t[i].col);
+      }
+      out.ir_[i] = t[i].row;
+      out.vals_[i] = t[i].val;
+    }
+    if (!t.empty()) out.cp_.push_back(static_cast<index_t>(t.size()));
+    return out;
   }
 
   [[nodiscard]] CscMatrix<VT> to_csc() const {

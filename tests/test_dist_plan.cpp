@@ -13,7 +13,11 @@
 // plan-reuse counters in RankReport.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <numeric>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "apps/amg.hpp"
@@ -438,6 +442,107 @@ TEST(DistPlanCached, ExecuteRejectsStructureMismatchAndEmptyPlan) {
     empty.execute(c, a, a);
   }),
                std::invalid_argument);
+}
+
+// ---- 1D→grid routes vs. the sort-based capture -----------------------------
+
+/// The oracle for one rank's 1D→grid route: packs every source slice the way
+/// the fresh exchange does (ranks, hence global columns, ascending; rows
+/// ascending), keeps the arrivals addressed to `me` in flat arrival order,
+/// and places them with a keyed (col, row) comparison sort.
+template <typename RankOf>
+std::pair<CscMatrix<double>, std::vector<index_t>> sorted_capture(
+    const CscMatrix<double>& a, std::span<const index_t> rb, std::span<const index_t> cb,
+    RankOf rank_of, int me, int my_bi, int my_bj) {
+  std::vector<Triple<double>> arrivals;
+  for (index_t j = 0; j < a.ncols(); ++j) {
+    const int bj = find_owner(cb, j);
+    auto rows = a.col_rows(j);
+    auto vals = a.col_vals(j);
+    for (std::size_t p = 0; p < rows.size(); ++p) {
+      const int bi = find_owner(rb, rows[p]);
+      if (rank_of(bi, bj) == me)
+        arrivals.push_back({rows[p] - rb[static_cast<std::size_t>(bi)],
+                            j - cb[static_cast<std::size_t>(bj)], vals[p]});
+    }
+  }
+  std::vector<index_t> order(arrivals.size());
+  std::iota(order.begin(), order.end(), index_t{0});
+  std::sort(order.begin(), order.end(), [&](index_t x, index_t y) {
+    const auto& s = arrivals[static_cast<std::size_t>(x)];
+    const auto& t = arrivals[static_cast<std::size_t>(y)];
+    return s.col != t.col ? s.col < t.col : s.row < t.row;
+  });
+  std::vector<index_t> place(arrivals.size());
+  for (std::size_t i = 0; i < order.size(); ++i)
+    place[static_cast<std::size_t>(order[i])] = static_cast<index_t>(i);
+  const auto si = static_cast<std::size_t>(my_bi);
+  const auto sj = static_cast<std::size_t>(my_bj);
+  CooMatrix<double> blk(rb[si + 1] - rb[si], cb[sj + 1] - cb[sj], arrivals);
+  blk.canonicalize();
+  return {CscMatrix<double>::from_coo(blk), place};
+}
+
+/// Runs the 1D→grid exchange with a route capture on every rank, in both
+/// comm modes, and checks the block and recv_place against the oracle.
+template <typename RankOf, typename Coords>
+void expect_route_matches_sorted_capture(const CscMatrix<double>& a, int P,
+                                         const std::vector<index_t>& rb,
+                                         const std::vector<index_t>& cb, RankOf rank_of,
+                                         Coords coords) {
+  for (bool overlap : {false, true}) {
+    Machine m(P);
+    m.run([&](Comm& c) {
+      auto da = DistMatrix1D<double>::from_global(c, a);
+      const auto [bi, bj] = coords(c.rank());
+      GridRoute<double> route;
+      auto blk = redistribute_1d_to_2d_grid(c, da, std::span<const index_t>(rb),
+                                            std::span<const index_t>(cb), rank_of, bi, bj,
+                                            &route, overlap);
+      auto [want, want_place] = sorted_capture(a, rb, cb, rank_of, c.rank(), bi, bj);
+      EXPECT_EQ(blk, want) << "rank " << c.rank() << " overlap " << overlap;
+      EXPECT_EQ(route.block, want);
+      EXPECT_EQ(route.recv_place, want_place) << "rank " << c.rank();
+    });
+  }
+}
+
+TEST(GridRoute, CountingSortMatchesSortedCaptureOn2dGrid) {
+  for (std::uint64_t seed : {3, 4, 5}) {
+    auto a = seed == 5 ? hypersparse(45, 200, seed) : random_rect(41, 33, 350, seed);
+    const int P = 6, qr = 2, qc = 3;
+    auto rb = even_split(a.nrows(), qr);
+    auto cb = even_split(a.ncols(), qc);
+    expect_route_matches_sorted_capture(
+        a, P, rb, cb, [qc](int bi, int bj) { return bi * qc + bj; },
+        [qc](int r) { return std::pair<int, int>{r / qc, r % qc}; });
+  }
+}
+
+TEST(GridRoute, CountingSortMatchesSortedCaptureOnSplit3dLayerBounds) {
+  // split-3D's A route: row blocks × layer-concatenated inner tiles, tile t
+  // owned by (layer t / q_c, row bi, grid column t % q_c) — built the way
+  // spgemm_split_3d_dist builds it, on 2 layers of 1 × 3 grids.
+  const int layers = 2, qr = 1, qc = 3, q2 = qr * qc, P = layers * q2;
+  const int stages = std::lcm(qr, qc), spc = stages / qc;
+  for (std::uint64_t seed : {6, 7}) {
+    auto a = random_rect(29, 52, 400, seed);
+    auto rb = even_split(a.nrows(), qr);
+    auto kl = even_split(a.ncols(), layers);
+    std::vector<index_t> kflat{0};
+    for (int l = 0; l < layers; ++l) {
+      const auto fine = even_split(kl[static_cast<std::size_t>(l) + 1] -
+                                       kl[static_cast<std::size_t>(l)], stages);
+      for (int t = 1; t <= qc; ++t)
+        kflat.push_back(kl[static_cast<std::size_t>(l)] + fine[static_cast<std::size_t>(t * spc)]);
+    }
+    expect_route_matches_sorted_capture(
+        a, P, rb, kflat,
+        [](int bi, int t) { return (t / qc) * q2 + bi * qc + (t % qc); },
+        [](int r) {
+          return std::pair<int, int>{(r % q2) / qc, (r / q2) * qc + (r % q2) % qc};
+        });
+  }
 }
 
 }  // namespace
