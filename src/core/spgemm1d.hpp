@@ -418,119 +418,150 @@ class SpgemmPlan1D {
   /// pair was just verified against this plan — a successful collective
   /// matches() this iteration, or the plan was built from these operands
   /// (spgemm_1d and spgemm_1d_cached call this). Only the O(1) fingerprint
-  /// fields are re-validated.
+  /// fields are re-validated. A batch of one (see the batch overload).
   DistMatrix1D<VT> execute_verified(Comm& comm, const DistMatrix1D<VT>& a,
                                     const DistMatrix1D<VT>& b,
                                     Spgemm1dInfo* info_out = nullptr) {
+    const ReplayMember<SpgemmPlan1D, VT> one{this, &a, &b};
+    auto c = execute_verified(comm, std::span<const ReplayMember<SpgemmPlan1D, VT>>(&one, 1));
+    if (info_out != nullptr) {
+      *info_out = plan_info_;
+      info_out->rdma_calls = static_cast<index_t>(fetches_.size());
+    }
+    return std::move(c[0]);
+  }
+
+  /// Batched executor (collective): replays k verified plans — each with
+  /// its own operand pair, same preconditions as above — in one fetch
+  /// wave. Every member's A-value window is exposed up front, the members'
+  /// planned value gets run member-major through one bounded in-flight ring
+  /// (member boundaries never drain it), and ONE barrier at the end covers
+  /// every window. Each member's value copies, gathers and numeric pass are
+  /// the solo executor's, so every result is bit-identical to its own
+  /// execute_verified call. Results are returned in member order; k = 1 is
+  /// the solo executor.
+  static std::vector<DistMatrix1D<VT>> execute_verified(
+      Comm& comm, std::span<const ReplayMember<SpgemmPlan1D, VT>> ms) {
     // Structured (not a bare require): a rank whose operands diverged from
     // the verified plan must not skip the window expose while peers get
     // from it — comm.fail raises PlanMismatch machine-wide so every rank
     // unwinds with the identical recoverable error.
-    if (!built_ || !quick_matches_local(a, b))
-      comm.fail(FaultClass::PlanMismatch, "execute_verified",
-                "SpgemmPlan1D::execute_verified: operand/plan mismatch (rank " +
-                    std::to_string(comm.global_rank(comm.rank())) +
-                    "'s operand dims/nnz diverged from the plan fingerprint)");
+    for (const auto& m : ms)
+      if (!m.plan->built_ || !m.plan->quick_matches_local(*m.a, *m.b))
+        comm.fail(FaultClass::PlanMismatch, "execute_verified",
+                  "SpgemmPlan1D::execute_verified: operand/plan mismatch (rank " +
+                      std::to_string(comm.global_rank(comm.rank())) +
+                      "'s operand dims/nnz diverged from the plan fingerprint)");
 
-    Window win_val = comm.expose(std::span<const VT>(a.local().vals()));
+    // Expose every member's window before any get — peers may be fetching
+    // member j while this rank still pipelines member i.
+    std::vector<Window> wins;
+    wins.reserve(ms.size());
+    for (const auto& m : ms) wins.push_back(comm.expose(std::span<const VT>(m.a->local().vals())));
 
     // Transient-memory gauge (DESIGN.md §13): the Ã/B̃ assemblies are the
     // SA-1D execution's working set — charged for the duration of the call
     // (the shells are plan-resident, but their values are live operand
     // copies only while the multiply runs).
     auto& rep = comm.report();
-    const std::uint64_t live =
-        static_cast<std::uint64_t>(atilde_m_.nnz()) + static_cast<std::uint64_t>(btilde_m_.nnz());
+    std::uint64_t live = 0;
+    for (const auto& m : ms)
+      live += static_cast<std::uint64_t>(m.plan->atilde_m_.nnz()) +
+              static_cast<std::uint64_t>(m.plan->btilde_m_.nnz());
     rep.mem_charge(live, live * sizeof(VT));
 
-    // Ã values, written in place into the cached shell: local spans + one
+    // Ã values, written in place into the cached shells: local spans + one
     // value get per planned block.
-    VT* av = atilde_m_.mutable_vals().data();
-    {
+    for (const auto& m : ms) {
       auto ph = comm.phase(Phase::Other);
-      const VT* src = a.local().vals().data();
-      for (const auto& s : local_copies_)
+      VT* av = m.plan->atilde_m_.mutable_vals().data();
+      const VT* src = m.a->local().vals().data();
+      for (const auto& s : m.plan->local_copies_)
         std::copy_n(src + s.src, static_cast<std::size_t>(s.len), av + s.dst);
     }
-    index_t exec_gets = 0;
-    const std::size_t nf = fetches_.size();
-    if (opt_.overlap && opt_.prefetch_inflight > 0 && nf > 0) {
+    // B̃ values through the cached gather maps.
+    auto gather_btilde = [&] {
+      auto ph = comm.phase(Phase::Other);
+      for (const auto& m : ms) {
+        VT* btv = m.plan->btilde_m_.mutable_vals().data();
+        const VT* bv = m.b->local().vals().data();
+        for (std::size_t i = 0; i < m.plan->bt_src_.size(); ++i)
+          btv[i] = bv[static_cast<std::size_t>(m.plan->bt_src_[i])];
+      }
+    };
+    // The batch's fetches, member-major; staging buffers live in the first
+    // member's plan.
+    std::vector<std::pair<std::size_t, const FetchOp*>> flat;
+    for (std::size_t m = 0; m < ms.size(); ++m)
+      for (const auto& f : ms[m].plan->fetches_) flat.emplace_back(m, &f);
+    auto scatter = [&](std::size_t x, const VT* src) {
+      auto ph = comm.phase(Phase::Other);
+      VT* av = ms[flat[x].first].plan->atilde_m_.mutable_vals().data();
+      for (const auto& s : flat[x].second->spans)
+        std::copy_n(src + s.src, static_cast<std::size_t>(s.len), av + s.dst);
+    };
+    SpgemmPlan1D& lead = *ms[0].plan;
+    const std::size_t nf = flat.size();
+    if (lead.opt_.overlap && lead.opt_.prefetch_inflight > 0 && nf > 0) {
       // Prefetch pipeline: keep up to `prefetch_inflight` value gets in
       // flight, each with its own staging buffer; the scatter of block g
       // (and the B̃ gather below) runs while blocks g+1.. travel. A slot is
       // reused only after its block has been drained, bounding memory.
-      const std::size_t depth = std::min(static_cast<std::size_t>(opt_.prefetch_inflight), nf);
-      if (prefetch_bufs_.size() < depth) prefetch_bufs_.resize(depth);
+      const std::size_t depth = std::min(static_cast<std::size_t>(lead.opt_.prefetch_inflight), nf);
+      if (lead.prefetch_bufs_.size() < depth) lead.prefetch_bufs_.resize(depth);
       std::vector<std::optional<CommRequest>> ring(depth);
-      auto issue = [&](std::size_t i) {
-        const auto& f = fetches_[i];
-        auto& buf = prefetch_bufs_[i % depth];
+      auto issue = [&](std::size_t x) {
+        const FetchOp& f = *flat[x].second;
+        auto& buf = lead.prefetch_bufs_[x % depth];
         buf.resize(static_cast<std::size_t>(f.len));
-        ring[i % depth].emplace(comm.iget(win_val, f.owner, f.elo, f.len, buf.data()));
+        ring[x % depth].emplace(comm.iget(wins[flat[x].first], f.owner, f.elo, f.len, buf.data()));
       };
-      for (std::size_t i = 0; i < depth; ++i) issue(i);
-      // The B̃ gather is independent of Ã's fetched values, so it runs
+      for (std::size_t x = 0; x < depth; ++x) issue(x);
+      // The B̃ gathers are independent of Ã's fetched values, so they run
       // inside the in-flight window (same bytes written as the lockstep
       // path, just earlier).
-      {
-        auto ph = comm.phase(Phase::Other);
-        VT* btv = btilde_m_.mutable_vals().data();
-        const VT* bv = b.local().vals().data();
-        for (std::size_t i = 0; i < bt_src_.size(); ++i)
-          btv[i] = bv[static_cast<std::size_t>(bt_src_[i])];
-      }
-      for (std::size_t i = 0; i < nf; ++i) {
-        ring[i % depth]->wait();
-        ring[i % depth].reset();
-        ++exec_gets;
-        {
-          auto ph = comm.phase(Phase::Other);
-          const VT* src = prefetch_bufs_[i % depth].data();
-          for (const auto& s : fetches_[i].spans)
-            std::copy_n(src + s.src, static_cast<std::size_t>(s.len), av + s.dst);
-        }
-        if (i + depth < nf) issue(i + depth);
+      gather_btilde();
+      for (std::size_t x = 0; x < nf; ++x) {
+        ring[x % depth]->wait();
+        ring[x % depth].reset();
+        scatter(x, lead.prefetch_bufs_[x % depth].data());
+        if (x + depth < nf) issue(x + depth);
       }
     } else {
-      for (const auto& f : fetches_) {
-        fetch_buf_.resize(static_cast<std::size_t>(f.len));
-        comm.get(win_val, f.owner, f.elo, f.len, fetch_buf_.data());
-        ++exec_gets;
-        auto ph = comm.phase(Phase::Other);
-        for (const auto& s : f.spans)
-          std::copy_n(fetch_buf_.data() + s.src, static_cast<std::size_t>(s.len), av + s.dst);
+      for (std::size_t x = 0; x < nf; ++x) {
+        const FetchOp& f = *flat[x].second;
+        lead.fetch_buf_.resize(static_cast<std::size_t>(f.len));
+        comm.get(wins[flat[x].first], f.owner, f.elo, f.len, lead.fetch_buf_.data());
+        scatter(x, lead.fetch_buf_.data());
       }
-      // B̃ values through the cached gather map, then the numeric multiply
-      // against the cached symbolic result.
-      {
-        auto ph = comm.phase(Phase::Other);
-        VT* btv = btilde_m_.mutable_vals().data();
-        const VT* bv = b.local().vals().data();
-        for (std::size_t i = 0; i < bt_src_.size(); ++i)
-          btv[i] = bv[static_cast<std::size_t>(bt_src_[i])];
-      }
+      gather_btilde();
     }
-    CscMatrix<VT> c_local;
-    {
+    // Numeric passes in member order against the cached symbolic results.
+    std::vector<CscMatrix<VT>> c_locals;
+    c_locals.reserve(ms.size());
+    for (const auto& m : ms) {
       auto ph = comm.phase(Phase::Comp);
-      c_local = spgemm_local_numeric<SR, VT>(atilde_m_, btilde_m_, sym_, &ws_);
+      c_locals.push_back(spgemm_local_numeric<SR, VT>(m.plan->atilde_m_, m.plan->btilde_m_,
+                                                      m.plan->sym_, &m.plan->ws_));
     }
 
-    // Keep A's value window alive until every rank finished fetching.
+    // Keep A's value windows alive until every rank finished fetching.
     comm.barrier();
 
-    DcscMatrix<VT> c_dcsc;
-    {
-      auto ph = comm.phase(Phase::Other);
-      c_dcsc = DcscMatrix<VT>::from_csc(c_local);
+    std::vector<DistMatrix1D<VT>> out;
+    out.reserve(ms.size());
+    for (std::size_t m = 0; m < ms.size(); ++m) {
+      SpgemmPlan1D& p = *ms[m].plan;
+      DcscMatrix<VT> c_dcsc;
+      {
+        auto ph = comm.phase(Phase::Other);
+        c_dcsc = DcscMatrix<VT>::from_csc(c_locals[m]);
+      }
+      ++p.executions_;
+      out.emplace_back(p.c_nrows_, p.c_ncols_, p.out_bounds_, comm.rank(), std::move(c_dcsc));
     }
     rep.mem_release(live, live * sizeof(VT));
-    ++executions_;
-    if (info_out != nullptr) {
-      *info_out = plan_info_;
-      info_out->rdma_calls = exec_gets;
-    }
-    return DistMatrix1D<VT>(c_nrows_, c_ncols_, out_bounds_, comm.rank(), std::move(c_dcsc));
+    return out;
   }
 
   [[nodiscard]] bool empty() const { return !built_; }
@@ -584,135 +615,6 @@ class SpgemmPlan1D {
     b += sym_.bounds.size() * sizeof(index_t) + sym_.colptr.size() * sizeof(index_t) +
          sym_.klass.size();
     return b;
-  }
-
-  /// One member of a fused SA-1D batch: a verified plan plus the operand
-  /// pair it replays.
-  struct FusedArg {
-    SpgemmPlan1D* plan;
-    const DistMatrix1D<VT>* a;
-    const DistMatrix1D<VT>* b;
-  };
-
-  /// Batched executor (collective): replays k verified plans in one fused
-  /// fetch wave. All members' A-value windows are exposed up front, the
-  /// members' planned value gets flatten into a single member-major
-  /// interleaved pipeline (one bounded in-flight ring across the whole
-  /// batch, so member boundaries never drain it), and ONE barrier at the end
-  /// covers every window — k multiplies pay one expose/barrier round and one
-  /// continuously-full RDMA pipeline instead of k sequential ones. Each
-  /// member's value copies, gathers, and numeric pass are the sequential
-  /// executor's, byte for byte, so every result is bit-identical to its own
-  /// execute_verified call. Results are returned in member order.
-  static std::vector<DistMatrix1D<VT>> execute_fused(Comm& comm,
-                                                     std::span<const FusedArg> ops) {
-    const std::size_t k = ops.size();
-    // Verify every member before the first collective: a diverged member
-    // must raise machine-wide, not leave peers stuck in the expose round.
-    for (std::size_t m = 0; m < k; ++m)
-      if (ops[m].plan == nullptr || !ops[m].plan->built_ ||
-          !ops[m].plan->quick_matches_local(*ops[m].a, *ops[m].b))
-        comm.fail(FaultClass::PlanMismatch, "execute_fused",
-                  "SpgemmPlan1D::execute_fused: batch member " + std::to_string(m) +
-                      "'s operand/plan mismatch (rank " +
-                      std::to_string(comm.global_rank(comm.rank())) + ")");
-
-    // Expose every member's window before any get — peers may be fetching
-    // member j while this rank still pipelines member i.
-    std::vector<Window> wins;
-    wins.reserve(k);
-    for (const auto& op : ops)
-      wins.push_back(comm.expose(std::span<const VT>(op.a->local().vals())));
-
-    // Transient-memory gauge: every member's Ã/B̃ assembly is live at once
-    // in the fused wave (that is the point of fusion).
-    auto& rep = comm.report();
-    std::uint64_t live = 0;
-    for (const auto& op : ops)
-      live += static_cast<std::uint64_t>(op.plan->atilde_m_.nnz()) +
-              static_cast<std::uint64_t>(op.plan->btilde_m_.nnz());
-    rep.mem_charge(live, live * sizeof(VT));
-
-    // Local value copies and B̃ gathers for the whole batch (independent of
-    // the fetched values, so they run before/inside the in-flight window).
-    for (const auto& op : ops) {
-      auto ph = comm.phase(Phase::Other);
-      VT* av = op.plan->atilde_m_.mutable_vals().data();
-      const VT* src = op.a->local().vals().data();
-      for (const auto& s : op.plan->local_copies_)
-        std::copy_n(src + s.src, static_cast<std::size_t>(s.len), av + s.dst);
-      VT* btv = op.plan->btilde_m_.mutable_vals().data();
-      const VT* bv = op.b->local().vals().data();
-      for (std::size_t i = 0; i < op.plan->bt_src_.size(); ++i)
-        btv[i] = bv[static_cast<std::size_t>(op.plan->bt_src_[i])];
-    }
-
-    // Fused fetch wave: member-major flattening, one bounded ring.
-    struct FlatFetch {
-      std::size_t m, i;
-    };
-    std::vector<FlatFetch> flat;
-    std::size_t depth = 1;
-    for (std::size_t m = 0; m < k; ++m) {
-      const auto& p = *ops[m].plan;
-      for (std::size_t i = 0; i < p.fetches_.size(); ++i) flat.push_back({m, i});
-      if (p.opt_.overlap && p.opt_.prefetch_inflight > 0)
-        depth = std::max(depth, static_cast<std::size_t>(p.opt_.prefetch_inflight));
-    }
-    const std::size_t nf = flat.size();
-    if (nf > 0) {
-      depth = std::min(depth, nf);
-      std::vector<std::vector<VT>> bufs(depth);
-      std::vector<std::optional<CommRequest>> ring(depth);
-      auto issue = [&](std::size_t x) {
-        const auto& p = *ops[flat[x].m].plan;
-        const auto& f = p.fetches_[flat[x].i];
-        auto& buf = bufs[x % depth];
-        buf.resize(static_cast<std::size_t>(f.len));
-        ring[x % depth].emplace(comm.iget(wins[flat[x].m], f.owner, f.elo, f.len, buf.data()));
-      };
-      for (std::size_t x = 0; x < depth; ++x) issue(x);
-      for (std::size_t x = 0; x < nf; ++x) {
-        ring[x % depth]->wait();
-        ring[x % depth].reset();
-        {
-          auto ph = comm.phase(Phase::Other);
-          auto& p = *ops[flat[x].m].plan;
-          const auto& f = p.fetches_[flat[x].i];
-          VT* av = p.atilde_m_.mutable_vals().data();
-          const VT* src = bufs[x % depth].data();
-          for (const auto& s : f.spans)
-            std::copy_n(src + s.src, static_cast<std::size_t>(s.len), av + s.dst);
-        }
-        if (x + depth < nf) issue(x + depth);
-      }
-    }
-
-    // Numeric passes in member order — the same kernel calls the sequential
-    // executor makes, so each member's values are bit-identical.
-    std::vector<CscMatrix<VT>> c_locals;
-    c_locals.reserve(k);
-    for (const auto& op : ops) {
-      auto ph = comm.phase(Phase::Comp);
-      c_locals.push_back(spgemm_local_numeric<SR, VT>(op.plan->atilde_m_, op.plan->btilde_m_,
-                                                      op.plan->sym_, &op.plan->ws_));
-    }
-
-    // One barrier keeps every member's value window alive until all ranks
-    // finished fetching — the batch's single synchronization round.
-    comm.barrier();
-
-    std::vector<DistMatrix1D<VT>> out;
-    out.reserve(k);
-    for (std::size_t m = 0; m < k; ++m) {
-      auto ph = comm.phase(Phase::Other);
-      DcscMatrix<VT> c_dcsc = DcscMatrix<VT>::from_csc(c_locals[m]);
-      ++ops[m].plan->executions_;
-      out.emplace_back(ops[m].plan->c_nrows_, ops[m].plan->c_ncols_, ops[m].plan->out_bounds_,
-                       comm.rank(), std::move(c_dcsc));
-    }
-    rep.mem_release(live, live * sizeof(VT));
-    return out;
   }
 
  private:

@@ -135,4 +135,14 @@ class DistMatrix1D {
   DcscMatrix<VT> local_;
 };
 
+/// One member of a value-only replay batch: a backend's cached program and
+/// the operand pair it replays. Every backend's replay takes a span of
+/// members; a span of one is the solo replay.
+template <typename Plan, typename VT>
+struct ReplayMember {
+  Plan* plan = nullptr;
+  const DistMatrix1D<VT>* a = nullptr;
+  const DistMatrix1D<VT>* b = nullptr;
+};
+
 }  // namespace sa1d

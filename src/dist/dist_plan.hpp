@@ -9,9 +9,9 @@
 //             program (RingPlan);
 //   SUMMA-2D  the 1D→grid alltoallv routes, the per-stage broadcast-block
 //             shells + symbolic results, and the partial-C→1D
-//             scatter/merge program (Summa2dPlan);
+//             scatter/merge program (GridPlan);
 //   split-3D  the same with layer-aware routes and the cross-layer merge
-//             (Split3dPlan);
+//             (a GridPlan with its layer count);
 //   Auto      the gathered AlgoCostInputs and the chosen backend, so
 //             iterated Algo::Auto calls skip the metadata re-gather — and
 //             when Auto picks SA-1D, the gathered AMeta is handed to the
@@ -27,8 +27,11 @@
 // DESIGN.md §8 documents the layer.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -147,8 +150,8 @@ class DistSpgemmPlan {
       case Algo::Auto: break;
       case Algo::SparseAware1D: break;  // replay is RDMA value gets only
       case Algo::Ring1D: bytes = ring_.replay_recv_bytes(); break;
-      case Algo::Summa2D: bytes = summa_.replay_recv_bytes(me_); break;
-      case Algo::Split3D: bytes = split3d_.replay_recv_bytes(me_); break;
+      case Algo::Summa2D:
+      case Algo::Split3D: bytes = grid_.replay_recv_bytes(me_); break;
     }
     return bytes + inverse_scatter_recv_bytes();
   }
@@ -174,8 +177,8 @@ class DistSpgemmPlan {
       case Algo::Auto: break;
       case Algo::SparseAware1D: bytes = sa1d_.bytes_resident(); break;
       case Algo::Ring1D: bytes = ring_.bytes_resident(); break;
-      case Algo::Summa2D: bytes = summa_.bytes_resident(); break;
-      case Algo::Split3D: bytes = split3d_.bytes_resident(); break;
+      case Algo::Summa2D:
+      case Algo::Split3D: bytes = grid_.bytes_resident(); break;
     }
     // Panel sub-plans carry the real residency of a panelized plan (the
     // parent's backend members stay empty); panel bounds are noise-level.
@@ -192,13 +195,33 @@ class DistSpgemmPlan {
     return bytes;
   }
 
-  /// Direct access to the chosen backend's cached program — the batched
-  /// executor (dist/batch_spgemm.hpp) drives the fused replays through
-  /// these. Valid only when chosen() names that backend.
-  [[nodiscard]] SpgemmPlan1D<VT, SR>& sa1d_plan() { return sa1d_; }
-  [[nodiscard]] RingPlan<VT, SR>& ring_plan() { return ring_; }
-  [[nodiscard]] Summa2dPlan<VT, SR>& summa_plan() { return summa_; }
-  [[nodiscard]] Split3dPlan<VT, SR>& split3d_plan() { return split3d_; }
+  /// True iff this is a Ring1D plan whose hop structures are already shed
+  /// past a window (RingPlan::windowed; a panelized plan: any panel's).
+  [[nodiscard]] bool ring_windowed() const {
+    if (panels_ > 1)
+      return std::any_of(panel_plans_.begin(), panel_plans_.end(),
+                         [](const auto& p) { return p->ring_windowed(); });
+    return built_ && chosen_ == Algo::Ring1D && ring_.windowed();
+  }
+
+  /// Plans with equal non-empty keys can replay as one batch (replay_batch):
+  /// same backend, and for the grid backends the same layer count and grid.
+  /// Empty = this plan replays solo — a panelized plan (its replay is a loop
+  /// of per-panel sub-plan replays) or a windowed ring (its post-window hops
+  /// circulate (col, val) pairs).
+  [[nodiscard]] std::string fuse_key() const {
+    if (!built_ || panels_ > 1 || ring_windowed()) return {};
+    switch (chosen_) {
+      case Algo::Auto: break;  // unreachable: build resolved the dispatch
+      case Algo::SparseAware1D: return "sa1d";
+      case Algo::Ring1D: return "ring1d";
+      case Algo::Summa2D:
+      case Algo::Split3D:
+        return "grid:" + std::to_string(grid_.layers) + ":" +
+               std::to_string(grid_.sched.grid_rows) + "x" + std::to_string(grid_.sched.grid_cols);
+    }
+    return {};
+  }
 
   /// The plan cache's eviction fallback: a Ring1D plan sheds its resident
   /// hop structures beyond a w-hop window (RingPlan::demote_to_window)
@@ -213,15 +236,6 @@ class DistSpgemmPlan {
     }
     ring_.demote_to_window(w);
     return ring_.windowed();
-  }
-
-  /// Reuse bookkeeping for a fused replay the batched executor ran through
-  /// the backend accessors above (it bypasses execute_verified, so the
-  /// counters are bumped here).
-  void record_batched_replay(Comm& comm) {
-    ++replays_;
-    ++comm.report().plan_replays[distdetail::algo_slot(chosen_)];
-    if (opt_.algo == Algo::Auto) ++comm.report().plan_replays[distdetail::algo_slot(Algo::Auto)];
   }
 
   /// Exact rank-local reuse check: O(1) fields first, then the structure
@@ -381,12 +395,12 @@ class DistSpgemmPlan {
           return spgemm_naive_ring_1d<SR>(comm, *ra, *rb, &ring_, opt.overlap, ring_window);
         case Algo::Summa2D:
           return spgemm_summa_2d_dist<SR>(comm, *ra, *rb, opt.sa1d.kernel, opt.sa1d.threads,
-                                          &summa_, opt.grid_rows, opt.grid_cols, opt.overlap,
+                                          &grid_, opt.grid_rows, opt.grid_cols, opt.overlap,
                                           lookahead);
         case Algo::Split3D:
           require_split3d_layers(comm.size(), lyr, "DistSpgemmPlan(Algo::Split3D)");
           return spgemm_split_3d_dist<SR>(comm, *ra, *rb, lyr, opt.sa1d.kernel,
-                                          opt.sa1d.threads, &split3d_, opt.grid_rows,
+                                          opt.sa1d.threads, &grid_, opt.grid_rows,
                                           opt.grid_cols, opt.overlap, lookahead);
       }
       require(false, "DistSpgemmPlan::build: unknown algorithm");
@@ -503,7 +517,7 @@ class DistSpgemmPlan {
     ++builds_;
     ++comm.report().plan_builds[distdetail::algo_slot(chosen_)];
     if (opt_.algo == Algo::Auto) ++comm.report().plan_builds[distdetail::algo_slot(Algo::Auto)];
-    fill_stats(stats, comm, before, /*reused=*/false);
+    fill_stats(stats, comm, before, /*reused=*/false, 0);
     if (stats != nullptr) stats->validation_failovers = failovers;
     return c;
   }
@@ -532,101 +546,163 @@ class DistSpgemmPlan {
 
   /// Executor without the O(nnz) hash re-check. Precondition: the operand
   /// pair was just verified against this plan (a successful collective
-  /// matches(), or the plan was built from these operands).
+  /// matches(), or the plan was built from these operands). A replay batch
+  /// of one.
   DistMatrix1D<VT> execute_verified(Comm& comm, const DistMatrix1D<VT>& a,
                                     const DistMatrix1D<VT>& b,
                                     DistSpgemmStats* stats = nullptr) {
+    const Member one{this, &a, &b, stats};
+    return std::move(replay_batch(comm, std::span<const Member>(&one, 1))[0]);
+  }
+
+  /// One member of a replay batch: a verified plan, the operand pair it
+  /// replays (same precondition as execute_verified), and its stats slot.
+  struct Member {
+    DistSpgemmPlan* plan = nullptr;
+    const DistMatrix1D<VT>* a = nullptr;
+    const DistMatrix1D<VT>* b = nullptr;
+    DistSpgemmStats* stats = nullptr;
+  };
+
+  /// The member pipeline every replay runs (collective): quick-fingerprint
+  /// guard, permute-in for ordered plans, the backend's batch replay (every
+  /// phase's collectives shared by the k members, each member bit-identical
+  /// to its solo replay), permute-out, then per-member replay bookkeeping
+  /// and stats. k > 1 requires distinct plans with one equal non-empty
+  /// fuse_key(); k = 1 is execute_verified. Results in member order. A
+  /// fused member's stats carry the group's collective figures.
+  static std::vector<DistMatrix1D<VT>> replay_batch(Comm& comm, std::span<const Member> ms) {
+    const std::size_t k = ms.size();
     // Structured (not a bare require): a rank whose operands diverged from
     // the verified plan must not enter the replay collectives while peers
     // do — comm.fail raises PlanMismatch machine-wide so every rank unwinds
-    // with the identical recoverable error, and spgemm_dist_cached's retry
-    // loop can rebuild.
-    if (!built_ || !fp_.quick_equals(detail1d::quick_fingerprint_of(a, b)))
-      comm.fail(FaultClass::PlanMismatch, "execute_verified",
-                "DistSpgemmPlan::execute_verified: operand/plan mismatch (rank " +
-                    std::to_string(comm.global_rank(comm.rank())) +
-                    "'s operand dims/nnz diverged from the plan fingerprint)");
+    // with the identical recoverable error, and the callers' retry loops can
+    // rebuild.
+    for (const auto& m : ms)
+      if (!m.plan->built_ || !m.plan->fp_.quick_equals(detail1d::quick_fingerprint_of(*m.a, *m.b)))
+        comm.fail(FaultClass::PlanMismatch, "execute_verified",
+                  "DistSpgemmPlan::execute_verified: operand/plan mismatch (rank " +
+                      std::to_string(comm.global_rank(comm.rank())) +
+                      "'s operand dims/nnz diverged from the plan fingerprint)");
+    const DistSpgemmPlan& lead = *ms[0].plan;
+    for (const auto& m : ms)
+      require(k == 1 || (!lead.fuse_key().empty() && m.plan->fuse_key() == lead.fuse_key()),
+              "DistSpgemmPlan::replay_batch: members must share one non-empty fuse key");
     // Per-call high-water gauge: nested panel sub-plan replays roll up.
     MemGaugeScope gauge(comm.report());
     const RankReport before = comm.report();
-    last_partition_seconds_ = 0.0;  // replays never re-partition
-    last_reorder_bytes_ = 0;
-    const DistMatrix1D<VT>* ra = &a;
-    const DistMatrix1D<VT>* rb = &b;
-    if (ordering_ != Ordering::Identity) {
-      // The cached permuted operands already hold the right values when the
-      // caller's values are unchanged since they were filled (iterated
-      // squaring replays the same plan on the same matrix) — vote on the
-      // hash match through the uncounted control plane so the branch is
-      // rank-uniform, and only on a miss replay the value-only forward
-      // routes (the documented changed-values contract: nonzero reorder
-      // bytes, still zero partition work).
-      std::uint64_t ah, bh;
-      bool same_local;
-      {
-        auto ph = comm.phase(Phase::Reorder);
-        ah = distdetail::value_hash(a.local());
-        bh = pb_aliases_pa_ ? ah : distdetail::value_hash(b.local());
-        same_local = ah == a_val_hash_ && bh == b_val_hash_;
-      }
-      bool same = true;
-      for (const auto& v : comm.exchange_control(same_local ? "1" : "0"))
-        if (v == "0") same = false;
-      if (!same) {
-        const RankReport br = comm.report();
-        permute_symmetric_replay(comm, a, route_a_, pa_);
-        if (!pb_aliases_pa_) permute_symmetric_replay(comm, b, route_b_, pb_);
-        a_val_hash_ = ah;
-        b_val_hash_ = bh;
-        last_reorder_bytes_ =
-            comm.report().coll_bytes_received() - br.coll_bytes_received();
-      }
-      ra = &pa_;
-      rb = pb_aliases_pa_ ? &pa_ : &pb_;
+
+    // Permute-in. An ordered plan's cached permuted operands already hold
+    // the right values when the caller's values are unchanged since they
+    // were filled (iterated squaring replays the same plan on the same
+    // matrix) — one vote over the uncounted control plane keeps each
+    // member's branch rank-uniform, and only a changed member replays its
+    // value-only forward routes (the documented changed-values contract:
+    // nonzero reorder bytes, still zero partition work).
+    std::vector<const DistMatrix1D<VT>*> ra(k), rb(k);
+    std::vector<std::uint64_t> ah(k), bh(k);
+    std::string same_local(k, '1');
+    for (std::size_t m = 0; m < k; ++m) {
+      DistSpgemmPlan& p = *ms[m].plan;
+      p.last_partition_seconds_ = 0.0;  // replays never re-partition
+      p.last_reorder_bytes_ = 0;
+      ra[m] = ms[m].a;
+      rb[m] = ms[m].b;
+      if (p.ordering_ == Ordering::Identity) continue;
+      auto ph = comm.phase(Phase::Reorder);
+      ah[m] = distdetail::value_hash(ms[m].a->local());
+      bh[m] = p.pb_aliases_pa_ ? ah[m] : distdetail::value_hash(ms[m].b->local());
+      if (ah[m] != p.a_val_hash_ || bh[m] != p.b_val_hash_) same_local[m] = '0';
     }
-    DistMatrix1D<VT> c;
-    const int lookahead = opt_.max_peak_triples > 0 ? 2 : 0;
-    if (panels_ > 1) {
-      // Panelized replay: recompute each panel's B restriction (values are
-      // this call's — the restriction copies them) and replay its sub-plan
-      // in ascending panel order; concatenation order is deterministic, so
-      // the result is bit-identical to the monolithic replay.
+    if (std::any_of(ms.begin(), ms.end(),
+                    [](const Member& m) { return m.plan->ordering_ != Ordering::Identity; })) {
+      const auto votes = comm.exchange_control(same_local);
+      for (std::size_t m = 0; m < k; ++m) {
+        DistSpgemmPlan& p = *ms[m].plan;
+        if (p.ordering_ == Ordering::Identity) continue;
+        bool same = true;
+        for (const auto& v : votes) same = same && v[m] == '1';
+        if (!same) {
+          const RankReport br = comm.report();
+          permute_symmetric_replay(comm, *ms[m].a, p.route_a_, p.pa_);
+          if (!p.pb_aliases_pa_) permute_symmetric_replay(comm, *ms[m].b, p.route_b_, p.pb_);
+          p.a_val_hash_ = ah[m];
+          p.b_val_hash_ = bh[m];
+          p.last_reorder_bytes_ = comm.report().coll_bytes_received() - br.coll_bytes_received();
+        }
+        ra[m] = &p.pa_;
+        rb[m] = p.pb_aliases_pa_ ? &p.pa_ : &p.pb_;
+      }
+    }
+
+    // The backend's batch replay over the (possibly permuted) operands.
+    auto members_of = [&]<typename Plan>(Plan DistSpgemmPlan::*field) {
+      std::vector<ReplayMember<Plan, VT>> v;
+      for (std::size_t m = 0; m < k; ++m) v.push_back({&(ms[m].plan->*field), ra[m], rb[m]});
+      return v;
+    };
+    std::vector<DistMatrix1D<VT>> cs;
+    if (lead.panels_ > 1) {
+      // Panelized replay (solo): recompute each panel's B restriction
+      // (values are this call's — the restriction copies them) and replay
+      // its sub-plan in ascending panel order; concatenation order is
+      // deterministic, so the result is bit-identical to the monolithic
+      // replay.
       std::vector<DistMatrix1D<VT>> outs;
-      outs.reserve(panel_plans_.size());
-      for (std::size_t pi = 0; pi < panel_plans_.size(); ++pi) {
-        auto bp = restrict_columns(*rb, panel_bounds_[pi], panel_bounds_[pi + 1]);
-        outs.push_back(panel_plans_[pi]->execute_verified(comm, *ra, bp));
+      outs.reserve(lead.panel_plans_.size());
+      for (std::size_t pi = 0; pi < lead.panel_plans_.size(); ++pi) {
+        auto bp = restrict_columns(*rb[0], lead.panel_bounds_[pi], lead.panel_bounds_[pi + 1]);
+        outs.push_back(lead.panel_plans_[pi]->execute_verified(comm, *ra[0], bp));
       }
       auto ph = comm.phase(Phase::Other);
-      c = concat_column_panels(outs);
+      cs.push_back(concat_column_panels(outs));
     } else {
-      switch (chosen_) {
+      const bool overlap = lead.opt_.overlap;
+      const int lookahead = lead.opt_.max_peak_triples > 0 ? 2 : 0;
+      switch (lead.chosen_) {
         case Algo::Auto: break;  // unreachable: build resolved the dispatch
-        case Algo::SparseAware1D:
-          c = sa1d_.execute_verified(comm, *ra, *rb);
+        case Algo::SparseAware1D: {
+          const auto v = members_of(&DistSpgemmPlan::sa1d_);
+          cs = SpgemmPlan1D<VT, SR>::execute_verified(comm, std::span(v));
           break;
-        case Algo::Ring1D:
-          c = spgemm_naive_ring_1d_replay<SR>(comm, ring_, *ra, *rb, opt_.overlap);
+        }
+        case Algo::Ring1D: {
+          const auto v = members_of(&DistSpgemmPlan::ring_);
+          cs = spgemm_naive_ring_1d_replay<SR>(comm, std::span(v), overlap);
           break;
+        }
         case Algo::Summa2D:
-          c = spgemm_summa_2d_replay<SR>(comm, summa_, *ra, *rb, opt_.overlap, lookahead);
+        case Algo::Split3D: {
+          const auto v = members_of(&DistSpgemmPlan::grid_);
+          cs = spgemm_grid_replay<SR>(comm, std::span(v), overlap, lookahead);
           break;
-        case Algo::Split3D:
-          c = spgemm_split_3d_replay<SR>(comm, split3d_, *ra, *rb, opt_.overlap, lookahead);
-          break;
+        }
       }
     }
-    if (ordering_ != Ordering::Identity) {
-      // Value-only inverse scatter through the cached route: C comes back
-      // in the caller's ordering. Regular execution comm, not reorder.
-      permute_symmetric_replay(comm, c, route_c_inv_, c_tmpl_);
-      c = c_tmpl_;
+
+    // Permute-out: a value-only inverse scatter through each ordered plan's
+    // cached route returns C to the caller's ordering. Regular execution
+    // comm, not reorder.
+    std::uint64_t value_payload = 0;
+    for (std::size_t m = 0; m < k; ++m) {
+      DistSpgemmPlan& p = *ms[m].plan;
+      if (p.ordering_ != Ordering::Identity) {
+        permute_symmetric_replay(comm, cs[m], p.route_c_inv_, p.c_tmpl_);
+        cs[m] = p.c_tmpl_;
+      }
+      // Value traffic, not metadata: the replay's routes/broadcasts plus,
+      // for an ordered plan, the inverse scatter (inside
+      // replay_coll_recv_bytes) and any forward value routes.
+      value_payload += p.replay_coll_recv_bytes() + p.last_reorder_bytes_;
     }
-    ++replays_;
-    ++comm.report().plan_replays[distdetail::algo_slot(chosen_)];
-    if (opt_.algo == Algo::Auto) ++comm.report().plan_replays[distdetail::algo_slot(Algo::Auto)];
-    fill_stats(stats, comm, before, /*reused=*/true);
-    return c;
+    for (const auto& m : ms) {
+      ++m.plan->replays_;
+      ++comm.report().plan_replays[distdetail::algo_slot(m.plan->chosen_)];
+      if (m.plan->opt_.algo == Algo::Auto)
+        ++comm.report().plan_replays[distdetail::algo_slot(Algo::Auto)];
+      m.plan->fill_stats(m.stats, comm, before, /*reused=*/true, value_payload);
+    }
+    return cs;
   }
 
  private:
@@ -638,8 +714,11 @@ class DistSpgemmPlan {
     replays_ = r;
   }
 
-  void fill_stats(DistSpgemmStats* stats, Comm& comm, const RankReport& before,
-                  bool reused) const {
+  /// `value_payload`: the pure value bytes of the replay the figures span
+  /// (0 for a build), subtracted from the measured collective bytes to
+  /// leave the metadata bytes.
+  void fill_stats(DistSpgemmStats* stats, Comm& comm, const RankReport& before, bool reused,
+                  std::uint64_t value_payload) const {
     if (stats == nullptr) return;
     *stats = DistSpgemmStats{};
     stats->requested = opt_.algo;
@@ -672,12 +751,6 @@ class DistSpgemmPlan {
     stats->comm_hidden_s = after.overlap_s - before.overlap_s;
     stats->coll_recv_bytes = (after.bytes_network() - after.rdma_bytes) -
                              (before.bytes_network() - before.rdma_bytes);
-    // A reused ordered plan's value traffic includes the inverse scatter
-    // (inside replay_coll_recv_bytes) and, when operand values changed, the
-    // forward value routes (the measured reorder bytes) — neither is
-    // structural metadata.
-    const std::uint64_t value_payload =
-        reused ? replay_coll_recv_bytes() + last_reorder_bytes_ : 0;
     stats->meta_coll_bytes =
         stats->coll_recv_bytes > value_payload ? stats->coll_recv_bytes - value_payload : 0;
   }
@@ -716,11 +789,11 @@ class DistSpgemmPlan {
   double last_partition_seconds_ = 0.0;
   std::uint64_t last_reorder_bytes_ = 0;
 
-  // Exactly one of these is populated, per chosen_.
+  // Exactly one of these is populated, per chosen_ (grid_ serves both
+  // Summa2D and Split3D).
   SpgemmPlan1D<VT, SR> sa1d_;
   RingPlan<VT, SR> ring_;
-  Summa2dPlan<VT, SR> summa_;
-  Split3dPlan<VT, SR> split3d_;
+  GridPlan<VT, SR> grid_;
 
   // Panelized plans (panels_ > 1, DESIGN.md §13): the backend members above
   // stay empty and each panel's replay program lives in its own sub-plan

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -493,56 +494,58 @@ std::string local_validation_error(int P, Algo algo, const DistMatrix1D<VT>& a,
   return {};
 }
 
-/// Rank-consistent input validation (collective): every rank publishes its
-/// local verdict plus a digest of everything the dispatch branches on
-/// through the *uncounted* control exchange (Comm::exchange_control — no
-/// byte/message counter changes), and the lowest-rank failure is thrown as
-/// the byte-identical ValidationError on every rank. Divergent options or
-/// operand shapes across ranks — which would send ranks down different
-/// collective sequences — are themselves a validation error. Guarantees no
-/// rank proceeds into a data collective alone.
+/// Digest of everything a dispatch branches on, for the rank-consistency
+/// vote: the whole option set, then "|AxB,CxD" shapes per operand pair.
+/// validate_collective digests one pair, spgemm_dist_batched every item.
 template <typename VT>
-void validate_collective(Comm& comm, const DistMatrix1D<VT>& a, const DistMatrix1D<VT>& b,
-                         const DistSpgemmOptions& opt) {
-  std::string digest;
-  {
-    auto ph = comm.phase(Phase::Other);
-    digest = std::to_string(static_cast<int>(opt.algo)) + "," +
-             std::to_string(opt.layers) + "," + std::to_string(opt.grid_rows) + "," +
-             std::to_string(opt.grid_cols) + "," + std::to_string(opt.expected_iterations) +
-             "," + std::to_string(opt.expected_batch) + "," +
-             std::to_string(opt.max_recovery_retries) + "," +
-             std::to_string(opt.sa1d.block_fetch_k) + "," +
-             std::to_string(static_cast<int>(opt.sa1d.kernel)) + "," +
-             std::to_string(opt.sa1d.threads) + "," +
-             std::to_string(static_cast<int>(opt.sa1d.sparsity_aware)) + "," +
-             std::to_string(static_cast<int>(opt.sa1d.merge_adjacent_blocks)) + "," +
-             std::to_string(static_cast<int>(opt.overlap)) + "," +
-             std::to_string(static_cast<int>(opt.sa1d.overlap)) + "," +
-             std::to_string(opt.sa1d.prefetch_inflight) + "," +
-             std::to_string(static_cast<int>(opt.reorder)) + "," +
-             std::to_string(opt.reorder_seed) + "," +
-             std::to_string(opt.max_peak_triples) + "," + std::to_string(opt.panels) + "," +
-             std::to_string(opt.ring_window) + "|" +
-             std::to_string(a.nrows()) + "x" + std::to_string(a.ncols()) + "," +
-             std::to_string(b.nrows()) + "x" + std::to_string(b.ncols());
-  }
-  const std::string verdict =
-      local_validation_error(comm.size(), opt.algo, a, b, opt, comm.injector());
+std::string validation_digest(
+    const DistSpgemmOptions& opt,
+    std::span<const std::pair<const DistMatrix1D<VT>*, const DistMatrix1D<VT>*>> items) {
+  std::string d =
+      std::to_string(static_cast<int>(opt.algo)) + "," + std::to_string(opt.layers) + "," +
+      std::to_string(opt.grid_rows) + "," + std::to_string(opt.grid_cols) + "," +
+      std::to_string(opt.expected_iterations) + "," + std::to_string(opt.expected_batch) + "," +
+      std::to_string(opt.max_recovery_retries) + "," + std::to_string(opt.sa1d.block_fetch_k) +
+      "," + std::to_string(static_cast<int>(opt.sa1d.kernel)) + "," +
+      std::to_string(opt.sa1d.threads) + "," +
+      std::to_string(static_cast<int>(opt.sa1d.sparsity_aware)) + "," +
+      std::to_string(static_cast<int>(opt.sa1d.merge_adjacent_blocks)) + "," +
+      std::to_string(static_cast<int>(opt.overlap)) + "," +
+      std::to_string(static_cast<int>(opt.sa1d.overlap)) + "," +
+      std::to_string(opt.sa1d.prefetch_inflight) + "," +
+      std::to_string(static_cast<int>(opt.reorder)) + "," + std::to_string(opt.reorder_seed) +
+      "," + std::to_string(opt.max_peak_triples) + "," + std::to_string(opt.panels) + "," +
+      std::to_string(opt.ring_window);
+  for (const auto& [a, b] : items)
+    d += "|" + std::to_string(a->nrows()) + "x" + std::to_string(a->ncols()) + "," +
+         std::to_string(b->nrows()) + "x" + std::to_string(b->ncols());
+  return d;
+}
+
+/// The rank-consistency vote (collective): every rank publishes its digest
+/// plus its local validation verdict through the *uncounted* control
+/// exchange (Comm::exchange_control — no byte/message counter changes), and
+/// the lowest-rank failure is thrown as the byte-identical ValidationError
+/// on every rank. Divergent digests — options or operand shapes that would
+/// send ranks down different collective sequences — are themselves a
+/// validation error, prefixed with `who`. Guarantees no rank proceeds into a
+/// data collective alone.
+inline void vote_validation(Comm& comm, const std::string& digest, const std::string& verdict,
+                            const char* who) {
   auto all = comm.exchange_control(digest + "\n" + verdict);
   // Every rank holds the identical `all`, so every throw below constructs
   // the byte-identical error on every rank — the rank-consistency contract.
+  const std::string d0 = all[0].substr(0, all[0].find('\n'));
   for (int p = 0; p < comm.size(); ++p) {
     const auto& s = all[static_cast<std::size_t>(p)];
     const std::string d = s.substr(0, s.find('\n'));
-    if (d != all[0].substr(0, all[0].find('\n')))
+    if (d != d0)
       throw ValidationError(
           ErrorContext{comm.global_rank(p), comm.report().comm_ops, "validate"},
-          "spgemm_dist: options/operands disagree across ranks (rank " +
+          std::string(who) + ": options/operands disagree across ranks (rank " +
               std::to_string(comm.global_rank(p)) + " has [" + d + "], rank " +
-              std::to_string(comm.global_rank(0)) + " has [" +
-              all[0].substr(0, all[0].find('\n')) + "]); every rank must pass identical "
-              "options and globally consistent operands");
+              std::to_string(comm.global_rank(0)) + " has [" + d0 +
+              "]); every rank must pass identical options and globally consistent operands");
   }
   for (int p = 0; p < comm.size(); ++p) {
     const auto& s = all[static_cast<std::size_t>(p)];
@@ -551,6 +554,23 @@ void validate_collective(Comm& comm, const DistMatrix1D<VT>& a, const DistMatrix
       throw ValidationError(
           ErrorContext{comm.global_rank(p), comm.report().comm_ops, "validate"}, v);
   }
+}
+
+/// Rank-consistent input validation of one dispatch (collective): the
+/// validation_digest of (opt, a, b) and the local verdict go through
+/// vote_validation.
+template <typename VT>
+void validate_collective(Comm& comm, const DistMatrix1D<VT>& a, const DistMatrix1D<VT>& b,
+                         const DistSpgemmOptions& opt) {
+  const std::pair<const DistMatrix1D<VT>*, const DistMatrix1D<VT>*> item{&a, &b};
+  std::string digest;
+  {
+    auto ph = comm.phase(Phase::Other);
+    digest = validation_digest(opt, std::span(&item, 1));
+  }
+  vote_validation(comm, digest,
+                  local_validation_error(comm.size(), opt.algo, a, b, opt, comm.injector()),
+                  "spgemm_dist");
 }
 
 /// Auto's degrade order: the feasible predictions ranked by modeled total

@@ -391,59 +391,81 @@ DistMatrix1D<VT> ring_replay_windowed(Comm& comm, RingPlan<VT, SR>& plan,
 
 }  // namespace ringdetail
 
-/// Replays a captured ring plan for a structurally identical operand pair:
+/// Replays captured ring plans for structurally identical operand pairs:
 /// the (P-1) hop shifts carry bare value arrays, the per-hop multiplies run
 /// against the cached slice structures, and the partials ⊕-fold through the
-/// cached merge program. Bit-identical to the fresh call; zero Phase::Plan
-/// time, no structural metadata moved. Collective. A demoted (windowed) plan
-/// takes the ring_replay_windowed path instead.
+/// cached merge programs. Bit-identical to the fresh call; zero Phase::Plan
+/// time, no structural metadata moved. Collective. One member is the solo
+/// replay; k members share each hop's single shift, whose successor chunk
+/// is the member-major concatenation of their circulating values (each
+/// member keeps its own guard and flat counter, so every result is its
+/// solo result). A demoted (windowed) plan replays solo through
+/// ring_replay_windowed.
 template <typename SR, typename VT>
-DistMatrix1D<VT> spgemm_naive_ring_1d_replay(Comm& comm, RingPlan<VT, SR>& plan,
-                                             const DistMatrix1D<VT>& a,
-                                             const DistMatrix1D<VT>& b,
-                                             bool overlap = false) {
-  if (plan.windowed()) return ringdetail::ring_replay_windowed<SR, VT>(comm, plan, a, b);
+std::vector<DistMatrix1D<VT>> spgemm_naive_ring_1d_replay(
+    Comm& comm, std::span<const ReplayMember<RingPlan<VT, SR>, VT>> ms, bool overlap = false) {
+  const std::size_t k = ms.size();
+  std::vector<DistMatrix1D<VT>> out;
+  out.reserve(k);
+  if (k == 1 && ms[0].plan->windowed()) {
+    out.push_back(ringdetail::ring_replay_windowed<SR, VT>(comm, *ms[0].plan, *ms[0].a, *ms[0].b));
+    return out;
+  }
+  for (const auto& m : ms)
+    require(!m.plan->windowed(), "spgemm_naive_ring_1d_replay: windowed ring plans replay solo");
   const int P = comm.size();
   const int me = comm.rank();
   auto& rep = comm.report();
-  std::vector<VT> circ_vals;
+  // circ holds every member's circulating values back to back; len[m] is
+  // member m's share of the current hop.
+  std::vector<VT> circ;
+  std::vector<std::size_t> len(k);
   {
     auto ph = comm.phase(Phase::Other);
-    circ_vals = a.local().vals();
-    plan.acc_vals.assign(plan.acc_nnz, VT{});
+    for (std::size_t m = 0; m < k; ++m) {
+      const auto& av = ms[m].a->local().vals();
+      circ.insert(circ.end(), av.begin(), av.end());
+      len[m] = av.size();
+      ms[m].plan->acc_vals.assign(ms[m].plan->acc_nnz, VT{});
+    }
   }
-  rep.mem_charge(circ_vals.size(), circ_vals.size() * sizeof(VT));
+  rep.mem_charge(circ.size(), circ.size() * sizeof(VT));
 
-  const auto& bl = b.local();
   const int succ = (me + 1) % P, pred = (me - 1 + P) % P;
-  std::size_t flat = 0;
+  auto shift_out = [&] {
+    std::vector<std::vector<VT>> send(static_cast<std::size_t>(P));
+    auto ph = comm.phase(Phase::Other);
+    send[static_cast<std::size_t>(succ)] = std::move(circ);
+    return send;
+  };
+  std::vector<std::size_t> flat(k, 0);
   for (int step = 0; step < P; ++step) {
     // Same overlapped-shift structure as the fresh call: post the hop, then
     // multiply from the request's view of the outgoing value array.
     std::optional<AlltoallvRequest<VT>> shift;
-    std::span<const VT> cv(circ_vals);
+    std::span<const VT> cv(circ);
     if (overlap && step + 1 < P) {
-      std::vector<std::vector<VT>> send(static_cast<std::size_t>(P));
-      {
-        auto ph = comm.phase(Phase::Other);
-        send[static_cast<std::size_t>(succ)] = std::move(circ_vals);
-      }
-      shift.emplace(comm.ialltoallv(std::move(send)));
+      shift.emplace(comm.ialltoallv(shift_out()));
       cv = shift->sent_chunk(succ);
     }
-    {
+    std::size_t off = 0;
+    for (std::size_t m = 0; m < k; ++m) {
       auto ph = comm.phase(Phase::Comp);
+      RingPlan<VT, SR>& plan = *ms[m].plan;
       const auto& hop = plan.hops[static_cast<std::size_t>(step)];
-      // Replay guard: the circulating value array must match the cached hop
-      // structure (its column ranges index into it); a diverged slice —
-      // this rank's own A at step 0, a mis-sized shift afterwards — raises
-      // machine-wide instead of reading out of range.
-      if (cv.size() != static_cast<std::size_t>(hop.nnz))
+      // Replay guard: the member's circulating values must match the cached
+      // hop structure (its column ranges index into them); a diverged slice
+      // raises machine-wide instead of reading out of range.
+      if (len[m] != static_cast<std::size_t>(hop.nnz))
         comm.fail(FaultClass::PlanMismatch, "ring_replay",
                   "spgemm_naive_ring_1d_replay: hop " + std::to_string(step) + " carries " +
-                      std::to_string(cv.size()) + " values where the cached slice "
+                      std::to_string(len[m]) + " values where the cached slice "
                       "structure holds " + std::to_string(hop.nnz) + " (rank " +
                       std::to_string(comm.global_rank(comm.rank())) + ")");
+      const auto mv = cv.subspan(off, len[m]);
+      off += len[m];
+      const auto& bl = ms[m].b->local();
+      std::size_t fl = flat[m];
       for (index_t j = 0; j < bl.nzc(); ++j) {
         auto brows = bl.col_rows_at(j);
         auto bvals = bl.col_vals_at(j);
@@ -452,40 +474,49 @@ DistMatrix1D<VT> spgemm_naive_ring_1d_replay(Comm& comm, RingPlan<VT, SR>& plan,
           if (it == hop.gcol_ids.end() || *it != brows[p]) continue;
           auto kpos = static_cast<std::size_t>(it - hop.gcol_ids.begin());
           for (std::size_t q = hop.starts[kpos]; q < hop.starts[kpos + 1]; ++q) {
-            const VT v = SR::multiply(cv[q], bvals[p]);
-            const auto slot = static_cast<std::size_t>(plan.acc_dst[flat]);
-            plan.acc_vals[slot] =
-                plan.acc_first[flat] != 0 ? v : SR::add(plan.acc_vals[slot], v);
-            ++flat;
+            const VT v = SR::multiply(mv[q], bvals[p]);
+            const auto slot = static_cast<std::size_t>(plan.acc_dst[fl]);
+            plan.acc_vals[slot] = plan.acc_first[fl] != 0 ? v : SR::add(plan.acc_vals[slot], v);
+            ++fl;
           }
         }
       }
+      flat[m] = fl;
     }
+    const std::uint64_t outgoing = cv.size();
     if (step + 1 < P) {
-      const std::uint64_t outgoing = cv.size();
       if (shift.has_value()) {
-        circ_vals = shift->take_from(pred);
+        circ = shift->take_from(pred);
         shift->wait();
       } else {
-        std::vector<std::vector<VT>> send(static_cast<std::size_t>(P));
-        {
-          auto ph = comm.phase(Phase::Other);
-          send[static_cast<std::size_t>(succ)] = std::move(circ_vals);
-        }
-        auto recv = comm.alltoallv(send);
-        circ_vals = std::move(recv[static_cast<std::size_t>(pred)]);
+        auto recv = comm.alltoallv(shift_out());
+        circ = std::move(recv[static_cast<std::size_t>(pred)]);
       }
-      rep.mem_charge(circ_vals.size(), circ_vals.size() * sizeof(VT));
-      rep.mem_release(outgoing, outgoing * sizeof(VT));
-    } else {
-      rep.mem_release(cv.size(), cv.size() * sizeof(VT));  // last hop
+      // Split the arriving chunk by the cached next-hop counts.
+      std::size_t need = 0;
+      for (std::size_t m = 0; m < k; ++m) {
+        len[m] = static_cast<std::size_t>(
+            ms[m].plan->hops[static_cast<std::size_t>(step) + 1].nnz);
+        need += len[m];
+      }
+      if (circ.size() != need)
+        comm.fail(FaultClass::PlanMismatch, "ring_replay",
+                  "spgemm_naive_ring_1d_replay: hop " + std::to_string(step + 1) +
+                      " shift delivered " + std::to_string(circ.size()) +
+                      " values where the cached slices hold " + std::to_string(need) +
+                      " (rank " + std::to_string(comm.global_rank(comm.rank())) + ")");
+      rep.mem_charge(circ.size(), circ.size() * sizeof(VT));
     }
+    rep.mem_release(outgoing, outgoing * sizeof(VT));
   }
 
   auto ph = comm.phase(Phase::Other);
-  DcscMatrix<VT> c_local = plan.c_shell;
-  c_local.mutable_vals() = plan.acc_vals;
-  return DistMatrix1D<VT>(a.nrows(), b.ncols(), b.bounds(), me, std::move(c_local));
+  for (const auto& m : ms) {
+    DcscMatrix<VT> c_local = m.plan->c_shell;
+    c_local.mutable_vals() = m.plan->acc_vals;
+    out.emplace_back(m.a->nrows(), m.b->ncols(), m.b->bounds(), me, std::move(c_local));
+  }
+  return out;
 }
 
 }  // namespace sa1d

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -210,12 +211,17 @@ CscMatrix<VT> redistribute_1d_to_2d_grid(Comm& comm, const DistMatrix1D<VT>& m,
   return out;
 }
 
-/// Replays a captured 1D→grid route for a structurally identical operand:
-/// one value-only all-to-all, written in place into the cached block.
-/// Collective; returns the refreshed block (owned by the route).
+/// Replays captured 1D→grid routes for structurally identical operands: one
+/// value-only all-to-all for every (route, operand) pair, written in place
+/// into each route's cached block. Each destination chunk is the
+/// route-major concatenation of the routes' values for it; arrivals are
+/// consumed in ascending source then route order with a flat counter per
+/// route, so every block gets exactly the placement its own replay would.
+/// One route is the solo replay. Collective.
 template <typename VT>
-CscMatrix<VT>& replay_1d_to_2d_grid(Comm& comm, GridRoute<VT>& route,
-                                    const DistMatrix1D<VT>& m, bool overlap = false) {
+void replay_1d_to_2d_grid(Comm& comm,
+                          std::span<const std::pair<GridRoute<VT>*, const DistMatrix1D<VT>*>> rs,
+                          bool overlap = false) {
   const int P = comm.size();
   std::vector<std::vector<VT>> send(static_cast<std::size_t>(P));
   {
@@ -224,46 +230,59 @@ CscMatrix<VT>& replay_1d_to_2d_grid(Comm& comm, GridRoute<VT>& route,
     // route was captured on (the capture packed every local triple, so the
     // per-destination sizes sum to that array's length). A diverged operand
     // must raise machine-wide, not read out of range while peers proceed.
-    std::size_t expect = 0;
-    for (const auto& src : route.send_src) expect += src.size();
-    if (m.local().vals().size() != expect)
-      comm.fail(FaultClass::PlanMismatch, "replay_1d_to_2d_grid",
-                "replay_1d_to_2d_grid: local operand has " +
-                    std::to_string(m.local().vals().size()) +
-                    " values but the cached route packs " + std::to_string(expect) +
-                    " (rank " + std::to_string(comm.global_rank(comm.rank())) + ")");
-    const VT* vals = m.local().vals().data();
+    for (const auto& [route, m] : rs) {
+      std::size_t expect = 0;
+      for (const auto& src : route->send_src) expect += src.size();
+      if (m->local().vals().size() != expect)
+        comm.fail(FaultClass::PlanMismatch, "replay_1d_to_2d_grid",
+                  "replay_1d_to_2d_grid: local operand has " +
+                      std::to_string(m->local().vals().size()) +
+                      " values but the cached route packs " + std::to_string(expect) +
+                      " (rank " + std::to_string(comm.global_rank(comm.rank())) + ")");
+    }
     for (int p = 0; p < P; ++p) {
-      const auto& src = route.send_src[static_cast<std::size_t>(p)];
       auto& out = send[static_cast<std::size_t>(p)];
-      out.reserve(src.size());
-      for (auto i : src) out.push_back(vals[static_cast<std::size_t>(i)]);
+      for (const auto& [route, m] : rs) {
+        const VT* vals = m->local().vals().data();
+        const auto& src = route->send_src[static_cast<std::size_t>(p)];
+        out.reserve(out.size() + src.size());
+        for (auto i : src) out.push_back(vals[static_cast<std::size_t>(i)]);
+      }
     }
   }
-  auto scatter_chunk = [&](int p, const std::vector<VT>& chunk, std::size_t& flat) {
-    if (chunk.size() != static_cast<std::size_t>(route.recv_counts[static_cast<std::size_t>(p)]))
+  std::vector<std::size_t> flat(rs.size(), 0);
+  auto scatter_chunk = [&](int p, const std::vector<VT>& chunk) {
+    std::size_t need = 0;
+    for (const auto& r : rs)
+      need += static_cast<std::size_t>(r.first->recv_counts[static_cast<std::size_t>(p)]);
+    if (chunk.size() != need)
       comm.fail(FaultClass::PlanMismatch, "replay_1d_to_2d_grid",
                 "replay_1d_to_2d_grid: received " + std::to_string(chunk.size()) +
                     " values from rank " + std::to_string(comm.global_rank(p)) +
-                    " where the cached route expects " +
-                    std::to_string(route.recv_counts[static_cast<std::size_t>(p)]));
-    VT* bv = route.block.mutable_vals().data();
-    for (const auto& v : chunk) bv[static_cast<std::size_t>(route.recv_place[flat++])] = v;
+                    " where the cached routes expect " + std::to_string(need));
+    std::size_t off = 0;
+    for (std::size_t r = 0; r < rs.size(); ++r) {
+      GridRoute<VT>& route = *rs[r].first;
+      VT* bv = route.block.mutable_vals().data();
+      const auto n = static_cast<std::size_t>(route.recv_counts[static_cast<std::size_t>(p)]);
+      const index_t* place = route.recv_place.data() + flat[r];
+      for (std::size_t i = 0; i < n; ++i) bv[static_cast<std::size_t>(place[i])] = chunk[off + i];
+      flat[r] += n;
+      off += n;
+    }
   };
-  std::size_t flat = 0;
   if (overlap) {
-    // Pipelined scatter: chunks land in the cached block as each source
+    // Pipelined scatter: chunks land in the cached blocks as each source
     // publishes, in ascending rank order (slots are disjoint, so order only
     // matters for matching the captured flat indexing).
     auto req = comm.ialltoallv(std::move(send));
     auto ph = comm.phase(Phase::Other);
-    for (int p = 0; p < P; ++p) scatter_chunk(p, req.take_from(p), flat);
+    for (int p = 0; p < P; ++p) scatter_chunk(p, req.take_from(p));
   } else {
     auto recv = comm.alltoallv(send);
     auto ph = comm.phase(Phase::Other);
-    for (int p = 0; p < P; ++p) scatter_chunk(p, recv[static_cast<std::size_t>(p)], flat);
+    for (int p = 0; p < P; ++p) scatter_chunk(p, recv[static_cast<std::size_t>(p)]);
   }
-  return route.block;
 }
 
 /// Cached partial-C→1D scatter/merge program: the structural half of one
@@ -412,58 +431,83 @@ DistMatrix1D<VT> redistribute_coo_to_1d(Comm& comm, const CooMatrix<VT>& part, i
                           std::move(c_local));
 }
 
-/// Replays a captured scatter/merge program over fresh partial values
-/// (`part_vals` in the captured partial's val order): one value-only
-/// all-to-all, ⊕-folded into a copy of the cached 1D structure. Collective.
+/// Replays captured scatter/merge programs over fresh partial values (each
+/// paired span in its captured partial's val order): one value-only
+/// all-to-all for every program, ⊕-folded into copies of the cached 1D
+/// structures. Each destination chunk is the program-major concatenation of
+/// the programs' values for it; arrivals fold in ascending source then
+/// program order with a flat counter per program — each program's captured
+/// rank-major fold order. One program is the solo replay. Collective.
 template <typename SR, typename VT>
-DistMatrix1D<VT> replay_coo_to_1d(Comm& comm, const ScatterRoute<VT>& route,
-                                  std::span<const VT> part_vals, bool overlap = false) {
+std::vector<DistMatrix1D<VT>> replay_coo_to_1d(
+    Comm& comm, std::span<const std::pair<const ScatterRoute<VT>*, std::span<const VT>>> rs,
+    bool overlap = false) {
   const int P = comm.size();
   std::vector<std::vector<VT>> send(static_cast<std::size_t>(P));
   {
     auto ph = comm.phase(Phase::Other);
     for (int p = 0; p < P; ++p) {
-      const auto& src = route.send_src[static_cast<std::size_t>(p)];
       auto& out = send[static_cast<std::size_t>(p)];
-      out.reserve(src.size());
-      for (auto i : src) out.push_back(part_vals[static_cast<std::size_t>(i)]);
+      for (const auto& [route, part_vals] : rs) {
+        const auto& src = route->send_src[static_cast<std::size_t>(p)];
+        out.reserve(out.size() + src.size());
+        for (auto i : src) out.push_back(part_vals[static_cast<std::size_t>(i)]);
+      }
     }
   }
-  auto fold_chunk = [&](int p, const std::vector<VT>& chunk, VT* cv, std::size_t& flat) {
-    if (chunk.size() != static_cast<std::size_t>(route.recv_counts[static_cast<std::size_t>(p)]))
+  std::vector<std::size_t> flat(rs.size(), 0);
+  std::vector<DcscMatrix<VT>> c_locals(rs.size());
+  auto fold_chunk = [&](int p, const std::vector<VT>& chunk) {
+    std::size_t need = 0;
+    for (const auto& r : rs)
+      need += static_cast<std::size_t>(r.first->recv_counts[static_cast<std::size_t>(p)]);
+    if (chunk.size() != need)
       comm.fail(FaultClass::PlanMismatch, "replay_coo_to_1d",
                 "replay_coo_to_1d: received " + std::to_string(chunk.size()) +
                     " partial values from rank " + std::to_string(comm.global_rank(p)) +
-                    " where the cached scatter program expects " +
-                    std::to_string(route.recv_counts[static_cast<std::size_t>(p)]));
-    for (const auto& v : chunk) {
-      const auto slot = static_cast<std::size_t>(route.recv_dst[flat]);
-      cv[slot] = route.recv_first[flat] != 0 ? v : SR::add(cv[slot], v);
-      ++flat;
+                    " where the cached scatter programs expect " + std::to_string(need));
+    std::size_t off = 0;
+    for (std::size_t r = 0; r < rs.size(); ++r) {
+      const ScatterRoute<VT>& route = *rs[r].first;
+      VT* cv = c_locals[r].mutable_vals().data();
+      const auto n = static_cast<std::size_t>(route.recv_counts[static_cast<std::size_t>(p)]);
+      const index_t* dst = route.recv_dst.data() + flat[r];
+      const std::uint8_t* first = route.recv_first.data() + flat[r];
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto slot = static_cast<std::size_t>(dst[i]);
+        cv[slot] = first[i] != 0 ? chunk[off + i] : SR::add(cv[slot], chunk[off + i]);
+      }
+      flat[r] += n;
+      off += n;
     }
   };
-  std::size_t flat = 0;
+  auto copy_shells = [&] {
+    for (std::size_t r = 0; r < rs.size(); ++r) c_locals[r] = rs[r].first->c_shell;
+  };
   if (overlap) {
-    // Pipelined ⊕-fold: partial-C chunks fold into the shell as each
-    // source publishes. Consuming in ascending rank order preserves the
+    // Pipelined ⊕-fold: partial-C chunks fold into the shells as each
+    // source publishes. Consuming in ascending rank order preserves each
     // captured program's flat (rank-major) fold order, so a non-commutative
     // or non-associative ⊕ still reproduces the fresh result bit for bit;
-    // the structure-copy of the shell runs while chunks are in flight.
+    // the structure-copies of the shells run while chunks are in flight.
     auto req = comm.ialltoallv(std::move(send));
     auto ph = comm.phase(Phase::Other);
-    DcscMatrix<VT> c_local = route.c_shell;
-    VT* cv = c_local.mutable_vals().data();
-    for (int p = 0; p < P; ++p) fold_chunk(p, req.take_from(p), cv, flat);
-    return DistMatrix1D<VT>(route.nrows, route.ncols, route.out_bounds, comm.rank(),
-                            std::move(c_local));
+    copy_shells();
+    for (int p = 0; p < P; ++p) fold_chunk(p, req.take_from(p));
+  } else {
+    auto recv = comm.alltoallv(send);
+    auto ph = comm.phase(Phase::Other);
+    copy_shells();
+    for (int p = 0; p < P; ++p) fold_chunk(p, recv[static_cast<std::size_t>(p)]);
   }
-  auto recv = comm.alltoallv(send);
-  auto ph = comm.phase(Phase::Other);
-  DcscMatrix<VT> c_local = route.c_shell;
-  VT* cv = c_local.mutable_vals().data();
-  for (int p = 0; p < P; ++p) fold_chunk(p, recv[static_cast<std::size_t>(p)], cv, flat);
-  return DistMatrix1D<VT>(route.nrows, route.ncols, route.out_bounds, comm.rank(),
-                          std::move(c_local));
+  std::vector<DistMatrix1D<VT>> out;
+  out.reserve(rs.size());
+  for (std::size_t r = 0; r < rs.size(); ++r) {
+    const ScatterRoute<VT>& route = *rs[r].first;
+    out.emplace_back(route.nrows, route.ncols, route.out_bounds, comm.rank(),
+                     std::move(c_locals[r]));
+  }
+  return out;
 }
 
 }  // namespace sa1d

@@ -331,78 +331,140 @@ void summa_stages(Comm& comm, GridShape grid, const CscMatrix<VT>& my_a,
   if (sched != nullptr) sched->acc_nnz = acc.triples().size();
 }
 
-/// Replays a captured stage schedule: per stage, value-only row/column
-/// broadcasts (the roots gather from their pieces through the recorded
-/// span/map) into the cached block shells, the numeric-only local pass,
-/// and the ⊕-fold into `acc_vals` (resized to the merged count; slot order
-/// matches the fresh call's merged accumulator). Collective over the same
-/// grid communicator the schedule was captured on.
+}  // namespace summadetail
+
+/// Cached structural program of one full grid-family multiply on this rank
+/// — 2D SUMMA (one layer) or Split-3D (`layers` > 1): both inbound grid
+/// routes, the stage schedule of this rank's layer grid (which remembers its
+/// q_r × q_c shape), and the outbound scatter/merge program (the cross-layer
+/// fold for Split-3D). Captured by spgemm_summa_2d_dist /
+/// spgemm_split_3d_dist, replayed (values only) by spgemm_grid_replay.
+template <typename VT, typename SR>
+struct GridPlan {
+  int layers = 1;
+  GridRoute<VT> route_a, route_b;
+  summadetail::SummaSched<VT, SR> sched;
+  ScatterRoute<VT> out;
+  std::vector<VT> acc_vals;  ///< replay scratch: this layer's merged partial-C values
+
+  /// Exact per-rank collective bytes one value-only replay receives.
+  [[nodiscard]] std::uint64_t replay_recv_bytes(int me) const {
+    return route_a.replay_recv_bytes(me) + route_b.replay_recv_bytes(me) +
+           sched.bcast_recv_bytes + out.replay_recv_bytes(me);
+  }
+
+  /// Byte-accurate residency of the full cached program on this rank.
+  [[nodiscard]] std::uint64_t bytes_resident() const {
+    return route_a.bytes_resident() + route_b.bytes_resident() + sched.bytes_resident() +
+           out.bytes_resident() + acc_vals.size() * sizeof(VT);
+  }
+};
+
+namespace summadetail {
+
+/// Replays captured stage schedules of plans on one shared grid: per stage,
+/// value-only row/column broadcasts (the roots gather from their route
+/// blocks through the recorded span/map) into the cached block shells, the
+/// numeric-only local pass, and the ⊕-fold into each plan's `acc_vals`
+/// (resized to the merged count; slot order matches the fresh call's merged
+/// accumulator). One plan is the solo replay; k plans share each stage's
+/// single row and column broadcast, which carries the member-major
+/// concatenation of their payloads (the plans share the grid, hence the
+/// stage roots). Each member keeps its own guard and flat counter; the
+/// gauge charges every member's staging, and the overlapped pipeline keeps
+/// at most `lookahead` stages in flight (0 = all). Collective over the grid
+/// communicator the schedules were captured on.
 template <typename SR, typename VT>
-void summa_stages_replay(Comm& comm, const CscMatrix<VT>& my_a, const CscMatrix<VT>& my_b,
-                         SummaSched<VT, SR>& sched, std::vector<VT>& acc_vals,
+void summa_stages_replay(Comm& comm, std::span<GridPlan<VT, SR>* const> plans,
                          bool overlap = false, int lookahead = 0) {
-  const int s = static_cast<int>(sched.stages.size());
-  const int spc = s / sched.grid_cols;
-  const int spr = s / sched.grid_rows;
-  const int gi = comm.rank() / sched.grid_cols;
-  const int gj = comm.rank() % sched.grid_cols;
+  const auto& sched0 = plans[0]->sched;
+  const int s = static_cast<int>(sched0.stages.size());
+  for (const auto* pl : plans)
+    require(pl->sched.grid_rows == sched0.grid_rows && pl->sched.grid_cols == sched0.grid_cols,
+            "summa_stages_replay: batch members must share one grid");
+  const int spc = s / sched0.grid_cols;
+  const int spr = s / sched0.grid_rows;
+  const int gi = comm.rank() / sched0.grid_cols;
+  const int gj = comm.rank() % sched0.grid_cols;
   Comm row_comm = comm.split(gi, gj);
   Comm col_comm = comm.split(gj, gi);
 
   auto& rep = comm.report();
-  acc_vals.assign(sched.acc_nnz, VT{});
-  std::size_t flat = 0;
+  std::vector<std::size_t> flat(plans.size(), 0);
+  for (auto* pl : plans) pl->acc_vals.assign(pl->sched.acc_nnz, VT{});
 
-  // Root-side value gathers for stage k (contiguous A span; B index map).
-  // Caller wraps in Phase::Other.
+  // Root-side value gathers for stage k, member-major (contiguous A span; B
+  // index map). Caller wraps in Phase::Other.
   auto extract = [&](int k, std::vector<VT>& abuf, std::vector<VT>& bbuf) {
-    auto& st = sched.stages[static_cast<std::size_t>(k)];
-    if (gj == k / spc)
-      abuf.assign(my_a.vals().begin() + st.a_val_lo, my_a.vals().begin() + st.a_val_hi);
-    if (gi == k / spr) {
-      bbuf.reserve(st.b_src.size());
-      const VT* bv = my_b.vals().data();
-      for (auto i : st.b_src) bbuf.push_back(bv[static_cast<std::size_t>(i)]);
+    for (const auto* pl : plans) {
+      const auto& st = pl->sched.stages[static_cast<std::size_t>(k)];
+      if (gj == k / spc) {
+        const auto& av = pl->route_a.block.vals();
+        abuf.insert(abuf.end(), av.begin() + st.a_val_lo, av.begin() + st.a_val_hi);
+      }
+      if (gi == k / spr) {
+        bbuf.reserve(bbuf.size() + st.b_src.size());
+        const VT* bv = pl->route_b.block.vals().data();
+        for (auto i : st.b_src) bbuf.push_back(bv[static_cast<std::size_t>(i)]);
+      }
     }
   };
 
-  // Post-broadcast stage body: guard, shell fill, numeric pass, ⊕-fold.
-  // Shared by both paths; the fold consumes stages in ascending order either
-  // way, so overlapped replay stays bit-identical to lockstep replay.
-  auto run_stage = [&](int k, std::vector<VT> abuf, std::vector<VT> bbuf) {
-    auto& st = sched.stages[static_cast<std::size_t>(k)];
+  // Post-broadcast stage body: guard, then per member in order the shell
+  // fill, numeric pass and ⊕-fold. Shared by both paths; the fold consumes
+  // stages in ascending order either way, so overlapped replay stays
+  // bit-identical to lockstep replay.
+  auto run_stage = [&](int k, const std::vector<VT>& abuf, const std::vector<VT>& bbuf) {
     // Value-only staging (charged at delivery, element-equivalents): dies
-    // when the values move into the cached shells below.
+    // once copied into the cached shells below.
     const std::uint64_t payload = abuf.size() + bbuf.size();
-    CscMatrix<VT> c_blk;
     {
       auto ph = comm.phase(Phase::Other);
       // Replay guard: the broadcast value arrays must fill the cached stage
       // shells exactly; a diverged root operand raises machine-wide instead
       // of running the numeric pass on a torn block.
-      if (abuf.size() != st.a_blk.vals().size() || bbuf.size() != st.b_blk.vals().size())
+      std::size_t an = 0, bn = 0;
+      for (const auto* pl : plans) {
+        an += pl->sched.stages[static_cast<std::size_t>(k)].a_blk.vals().size();
+        bn += pl->sched.stages[static_cast<std::size_t>(k)].b_blk.vals().size();
+      }
+      if (abuf.size() != an || bbuf.size() != bn)
         comm.fail(FaultClass::PlanMismatch, "summa_stages_replay",
                   "summa_stages_replay: stage " + std::to_string(k) + " broadcast delivered " +
                       std::to_string(abuf.size()) + "/" + std::to_string(bbuf.size()) +
-                      " values where the cached shells hold " +
-                      std::to_string(st.a_blk.vals().size()) + "/" +
-                      std::to_string(st.b_blk.vals().size()));
-      st.a_blk.mutable_vals() = std::move(abuf);
-      st.b_blk.mutable_vals() = std::move(bbuf);
+                      " values where the cached shells hold " + std::to_string(an) + "/" +
+                      std::to_string(bn));
+    }
+    std::size_t aoff = 0, boff = 0;
+    for (std::size_t m = 0; m < plans.size(); ++m) {
+      auto& sched = plans[m]->sched;
+      auto& st = sched.stages[static_cast<std::size_t>(k)];
+      {
+        auto ph = comm.phase(Phase::Other);
+        const std::size_t an = st.a_blk.vals().size(), bn = st.b_blk.vals().size();
+        std::copy_n(abuf.begin() + static_cast<std::ptrdiff_t>(aoff), an,
+                    st.a_blk.mutable_vals().begin());
+        std::copy_n(bbuf.begin() + static_cast<std::ptrdiff_t>(boff), bn,
+                    st.b_blk.mutable_vals().begin());
+        aoff += an;
+        boff += bn;
+      }
+      CscMatrix<VT> c_blk;
+      {
+        auto ph = comm.phase(Phase::Comp);
+        c_blk = spgemm_local_numeric<SR, VT>(st.a_blk, st.b_blk, st.sym, &sched.ws);
+      }
+      auto ph = comm.phase(Phase::Other);
+      auto& acc = plans[m]->acc_vals;
+      std::size_t fl = flat[m];
+      for (const auto& v : c_blk.vals()) {
+        const auto slot = static_cast<std::size_t>(sched.acc_dst[fl]);
+        acc[slot] = sched.acc_first[fl] != 0 ? v : SR::add(acc[slot], v);
+        ++fl;
+      }
+      flat[m] = fl;
     }
     rep.mem_release(payload, payload * sizeof(VT));
-    {
-      auto ph = comm.phase(Phase::Comp);
-      c_blk = spgemm_local_numeric<SR, VT>(st.a_blk, st.b_blk, st.sym, &sched.ws);
-    }
-    {
-      auto ph = comm.phase(Phase::Other);
-      for (const auto& v : c_blk.vals()) {
-        const auto slot = static_cast<std::size_t>(sched.acc_dst[flat]);
-        acc_vals[slot] = sched.acc_first[flat] != 0 ? v : SR::add(acc_vals[slot], v);
-        ++flat;
-      }
-    }
   };
 
   if (!overlap) {
@@ -416,12 +478,12 @@ void summa_stages_replay(Comm& comm, const CscMatrix<VT>& my_a, const CscMatrix<
       col_comm.bcast(bbuf, k / spr);
       const std::uint64_t payload = abuf.size() + bbuf.size();
       rep.mem_charge(payload, payload * sizeof(VT));
-      run_stage(k, std::move(abuf), std::move(bbuf));
+      run_stage(k, abuf, bbuf);
     }
   } else {
     // Bounded-lookahead value broadcasts (la == s, the default, posts every
-    // stage payload up front — the previous behavior); same issue order as
-    // lockstep, numeric passes drain them ascending either way.
+    // stage payload up front); same issue order as lockstep, numeric passes
+    // drain them ascending either way.
     const int la = lookahead > 0 ? std::min(lookahead, s) : s;
     std::vector<std::vector<VT>> abufs(static_cast<std::size_t>(s));
     std::vector<std::vector<VT>> bbufs(static_cast<std::size_t>(s));
@@ -447,36 +509,14 @@ void summa_stages_replay(Comm& comm, const CscMatrix<VT>& my_a, const CscMatrix<
       const std::uint64_t tot = abufs[sk].size() + bbufs[sk].size();
       if (tot > staged[sk]) rep.mem_charge(tot - staged[sk], (tot - staged[sk]) * sizeof(VT));
       if (k + la < s) post(k + la);
-      run_stage(k, std::move(abufs[sk]), std::move(bbufs[sk]));
+      run_stage(k, abufs[sk], bbufs[sk]);
+      std::vector<VT>().swap(abufs[sk]);
+      std::vector<VT>().swap(bbufs[sk]);
     }
   }
 }
 
 }  // namespace summadetail
-
-/// Cached structural program of one full 2D-SUMMA multiply on this rank:
-/// both inbound grid routes, the stage schedule (which remembers its
-/// q_r × q_c grid), and the outbound scatter/merge program. Captured by
-/// spgemm_summa_2d_dist, replayed (values only) by spgemm_summa_2d_replay.
-template <typename VT, typename SR>
-struct Summa2dPlan {
-  GridRoute<VT> route_a, route_b;
-  summadetail::SummaSched<VT, SR> sched;
-  ScatterRoute<VT> out;
-  std::vector<VT> acc_vals;  ///< replay scratch: merged partial-C values
-
-  /// Exact per-rank collective bytes one value-only replay receives.
-  [[nodiscard]] std::uint64_t replay_recv_bytes(int me) const {
-    return route_a.replay_recv_bytes(me) + route_b.replay_recv_bytes(me) +
-           sched.bcast_recv_bytes + out.replay_recv_bytes(me);
-  }
-
-  /// Byte-accurate residency of the full cached program on this rank.
-  [[nodiscard]] std::uint64_t bytes_resident() const {
-    return route_a.bytes_resident() + route_b.bytes_resident() + sched.bytes_resident() +
-           out.bytes_resident() + acc_vals.size() * sizeof(VT);
-  }
-};
 
 /// 2D sparse SUMMA over 1D-distributed operands on a q_r × q_c grid.
 /// Collective; any process count works — the grid is the nearest-square
@@ -489,7 +529,7 @@ template <typename SRIn = void, typename VT>
 DistMatrix1D<VT> spgemm_summa_2d_dist(
     Comm& comm, const DistMatrix1D<VT>& a, const DistMatrix1D<VT>& b,
     LocalKernel kernel = LocalKernel::Hybrid, int threads = 1,
-    std::type_identity_t<Summa2dPlan<VT, ResolveSemiring<SRIn, VT>>*> plan = nullptr,
+    std::type_identity_t<GridPlan<VT, ResolveSemiring<SRIn, VT>>*> plan = nullptr,
     int grid_rows = 0, int grid_cols = 0, bool overlap = false, int lookahead = 0) {
   using SR = ResolveSemiring<SRIn, VT>;
   require(a.ncols() == b.nrows(), "spgemm_summa_2d_dist: inner dimension mismatch");
@@ -538,19 +578,42 @@ DistMatrix1D<VT> spgemm_summa_2d_dist(
   return c;
 }
 
-/// Replays a captured 2D-SUMMA plan for a structurally identical operand
-/// pair: value-only routes in, value-only stage broadcasts + numeric local
-/// passes, value-only scatter out. Bit-identical to the fresh call; records
-/// zero Phase::Plan time and moves no structural metadata. Collective.
+/// Replays captured grid-family plans (2D SUMMA or Split-3D, all on one
+/// grid and layer count) for structurally identical operand pairs:
+/// value-only routes in — every member's A and B routes in one exchange —
+/// value-only stage broadcasts + numeric local passes on this rank's layer,
+/// value-only scatter out (the cross-layer fold for Split-3D). One member is
+/// the solo replay; k members concatenate their payloads member-major in
+/// every collective. Bit-identical to the fresh call; records zero
+/// Phase::Plan time and moves no structural metadata. Collective.
 template <typename SR, typename VT>
-DistMatrix1D<VT> spgemm_summa_2d_replay(Comm& comm, Summa2dPlan<VT, SR>& plan,
-                                        const DistMatrix1D<VT>& a, const DistMatrix1D<VT>& b,
-                                        bool overlap = false, int lookahead = 0) {
-  const auto& my_a = replay_1d_to_2d_grid(comm, plan.route_a, a, overlap);
-  const auto& my_b = replay_1d_to_2d_grid(comm, plan.route_b, b, overlap);
-  summadetail::summa_stages_replay<SR>(comm, my_a, my_b, plan.sched, plan.acc_vals, overlap,
-                                       lookahead);
-  return replay_coo_to_1d<SR>(comm, plan.out, std::span<const VT>(plan.acc_vals), overlap);
+std::vector<DistMatrix1D<VT>> spgemm_grid_replay(
+    Comm& comm, std::span<const ReplayMember<GridPlan<VT, SR>, VT>> ms, bool overlap = false,
+    int lookahead = 0) {
+  using Route = std::pair<GridRoute<VT>*, const DistMatrix1D<VT>*>;
+  using Scatter = std::pair<const ScatterRoute<VT>*, std::span<const VT>>;
+  const int layers = ms[0].plan->layers;
+  std::vector<Route> routes;
+  std::vector<GridPlan<VT, SR>*> plans;
+  for (const auto& m : ms) {
+    require(m.plan->layers == layers, "spgemm_grid_replay: batch members must share one layering");
+    routes.emplace_back(&m.plan->route_a, m.a);
+    routes.emplace_back(&m.plan->route_b, m.b);
+    plans.push_back(m.plan);
+  }
+  replay_1d_to_2d_grid(comm, std::span<const Route>(routes), overlap);
+  if (layers <= 1) {
+    summadetail::summa_stages_replay<SR>(comm, std::span<GridPlan<VT, SR>* const>(plans), overlap,
+                                         lookahead);
+  } else {
+    const int q2 = comm.size() / layers;
+    Comm layer_comm = comm.split(comm.rank() / q2, comm.rank());
+    summadetail::summa_stages_replay<SR>(layer_comm, std::span<GridPlan<VT, SR>* const>(plans),
+                                         overlap, lookahead);
+  }
+  std::vector<Scatter> outs;
+  for (const auto* pl : plans) outs.emplace_back(&pl->out, std::span<const VT>(pl->acc_vals));
+  return replay_coo_to_1d<SR>(comm, std::span<const Scatter>(outs), overlap);
 }
 
 /// Replicated-operand wrapper (the original baseline API): distributes the

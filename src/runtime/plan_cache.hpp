@@ -246,7 +246,7 @@ class PlanCache {
       }
       if (vic == nullptr) return;  // everything pinned/kept: over budget until released
       if (demote_window_ > 0 && vic->plan != nullptr && !vic->plan->empty() &&
-          vic->plan->chosen() == Algo::Ring1D && !vic->plan->ring_plan().windowed() &&
+          vic->plan->chosen() == Algo::Ring1D && !vic->plan->ring_windowed() &&
           vic->plan->demote_ring_to_window(demote_window_)) {
         vic->bytes = cachedetail::agree_max_bytes(comm, vic->plan->bytes_resident());
         ++demotions_;

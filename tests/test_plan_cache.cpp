@@ -84,15 +84,18 @@ using Items = std::vector<std::pair<const DistMatrix1D<double>*, const DistMatri
 /// One serving trace against one backend: a tenant set with frozen
 /// structures, request batches of the given sizes (tenants cycled, so sizes
 /// above the tenant count exercise within-batch deferred hits), every
-/// member compared bit-identically against its fresh spgemm_dist result.
+/// member compared bit-identically against its fresh spgemm_dist result
+/// under the same ordering, and no batch may fall back to a rebuild.
 template <typename SR>
 void expect_batched_bit_identical(int P, Algo algo, bool overlap,
                                   const std::vector<CscMatrix<double>>& tenants,
-                                  const std::vector<int>& batch_sizes) {
+                                  const std::vector<int>& batch_sizes,
+                                  Ordering ordering = Ordering::Identity) {
   Machine m(P);
   DistSpgemmOptions opt;
   opt.algo = algo;
   opt.overlap = overlap;
+  opt.reorder = ordering;
   m.run([&](Comm& c) {
     PlanCache<double, SR> cache;
     int t = 0;
@@ -120,7 +123,9 @@ void expect_batched_bit_identical(int P, Algo algo, bool overlap,
                                      ops[static_cast<std::size_t>(i)], opt);
         EXPECT_TRUE(got[static_cast<std::size_t>(i)].local() == fresh.local())
             << algo_name(algo) << (overlap ? " overlap" : " lockstep") << " batch " << bs
-            << " member " << i;
+            << " member " << i << " ordering " << static_cast<int>(ordering);
+        EXPECT_EQ(st[static_cast<std::size_t>(i)].ordering, ordering)
+            << algo_name(algo) << " batch " << bs << " member " << i;
       }
       // Counter contract: a tenant's first-ever request is the only miss;
       // everything else (later batches AND within-batch duplicates) hits.
@@ -141,6 +146,8 @@ void expect_batched_bit_identical(int P, Algo algo, bool overlap,
     EXPECT_EQ(c.report().cache_misses, want_misses);
     EXPECT_GT(c.report().cache_hits_by_algo[distdetail::algo_slot(algo)], 0u);
     EXPECT_EQ(c.report().cache_bytes_resident, cache.stats().bytes_resident);
+    EXPECT_EQ(c.report().plan_recoveries, 0u)
+        << algo_name(algo) << " ordering " << static_cast<int>(ordering);
   });
 }
 
@@ -188,6 +195,73 @@ TEST(PlanCacheBatched, RectangularGridAndPrimeRankCounts) {
   for (int P : {3, 6}) {
     expect_batched_bit_identical<PlusTimes<double>>(P, Algo::Summa2D, false, tenants, {2, 8});
     expect_batched_bit_identical<PlusTimes<double>>(P, Algo::Split3D, false, tenants, {2, 8});
+  }
+}
+
+TEST(PlanCacheBatched, OrderedPlansReplayInHotBatches) {
+  // Ordered plans cache a symmetric permutation: a hot batch must permute
+  // every member's operands in and its C back out, exactly as a solo
+  // replay does. Circulant tenants keep per-rank counts under any
+  // permutation (a skipped permutation would go unnoticed by the replay
+  // guards and return a wrong C); block-clustered tenants do not (it would
+  // trip a guard and rebuild every batch).
+  const std::vector<CscMatrix<double>> circulants{circulant(96, 1, 0.5), circulant(96, 2, 0.5)};
+  const std::vector<CscMatrix<double>> clustered{block_clustered<double>(120, 6, 4.0, 0.4, 11),
+                                                 block_clustered<double>(120, 8, 5.0, 0.3, 17)};
+  for (Ordering ord : {Ordering::Partitioned, Ordering::Random})
+    for (const auto* tenants : {&circulants, &clustered})
+      for (Algo algo : all_backends())
+        for (bool overlap : {false, true})
+          expect_batched_bit_identical<PlusTimes<double>>(4, algo, overlap, *tenants, {2, 2, 4},
+                                                          ord);
+}
+
+TEST(PlanCacheBatched, HotGroupsChargeTheGaugeLikeSoloReplays) {
+  // A hot fused group of two members must charge the memory gauge with
+  // every member's replay transients: its peak is at least the larger
+  // member's solo-replay peak. Under a budget the SUMMA group also keeps
+  // the solo replay's 2-stage broadcast lookahead: a 1x4 grid has 4 stages
+  // and uniform random tenants spread their payload over all of them, so
+  // posting every stage up front would exceed the two solo peaks combined.
+  const std::vector<CscMatrix<double>> tenants{erdos_renyi<double>(120, 4.0, 101),
+                                               erdos_renyi<double>(120, 6.0, 103)};
+  for (Algo algo : {Algo::Ring1D, Algo::Summa2D}) {
+    DistSpgemmOptions opt;
+    opt.algo = algo;
+    opt.overlap = true;
+    if (algo == Algo::Summa2D) {
+      opt.max_peak_triples = std::uint64_t{1} << 40;
+      opt.panels = 1;
+      opt.grid_rows = 1;
+      opt.grid_cols = 4;
+    }
+    Machine m(4);
+    m.run([&](Comm& c) {
+      std::vector<DistMatrix1D<double>> cold, hot;
+      for (std::size_t i = 0; i < tenants.size(); ++i) {
+        cold.push_back(DistMatrix1D<double>::from_global(c, with_values(tenants[i], 0)));
+        hot.push_back(DistMatrix1D<double>::from_global(c, with_values(tenants[i], 1)));
+      }
+      std::vector<std::uint64_t> solo;
+      for (const auto& op : hot) {
+        DistSpgemmPlan<double> plan;
+        DistSpgemmStats st;
+        spgemm_dist_cached(c, plan, op, op, opt);
+        spgemm_dist_cached(c, plan, op, op, opt, &st);
+        ASSERT_TRUE(st.plan_reused);
+        solo.push_back(st.peak_triples);
+      }
+      PlanCache<double> cache;
+      spgemm_dist_batched(c, cache, Items{{&cold[0], &cold[0]}, {&cold[1], &cold[1]}}, opt);
+      std::vector<DistSpgemmStats> st;
+      spgemm_dist_batched(c, cache, Items{{&hot[0], &hot[0]}, {&hot[1], &hot[1]}}, opt, &st);
+      ASSERT_EQ(st[0].cache_hits + st[1].cache_hits, 2u);
+      const std::uint64_t peak = c.report().peak_triples;
+      EXPECT_GE(peak, std::max(solo[0], solo[1])) << algo_name(algo) << " rank " << c.rank();
+      if (algo == Algo::Summa2D) {
+        EXPECT_LE(peak, solo[0] + solo[1]) << "rank " << c.rank();
+      }
+    });
   }
 }
 
