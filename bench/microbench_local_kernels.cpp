@@ -1,13 +1,15 @@
 // Microbenchmarks of the local SpGEMM kernels (the compute substrate of
 // every distributed algorithm): heap vs hash vs hybrid vs SPA across
-// structure classes and fill factors.
+// structure classes and fill factors, and the engine's three phases
+// (symbolic, class numeric, value-only replay) timed apart.
 //
 // Two modes:
 //   - default: google-benchmark harness (human-oriented, CLI filters work)
 //   - --json[=PATH]: manual timing harness that writes the machine-readable
-//     BENCH_local_spgemm.json (GFLOP/s per kernel × dataset × threads) so
-//     successive PRs can track the local-multiply trajectory; see
-//     EXPERIMENTS.md for the schema and DESIGN.md §3 for the bench index.
+//     BENCH_local_spgemm.json (GFLOP/s per kernel × dataset × threads, and
+//     ns/flop per phase × dataset × threads) so successive PRs can track
+//     the local-multiply trajectory; see EXPERIMENTS.md for the schema and
+//     DESIGN.md §3 for the bench index.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -18,6 +20,7 @@
 
 #include "bench_common.hpp"
 #include "kernels/spgemm_local.hpp"
+#include "sparse/datasets.hpp"
 #include "sparse/generators.hpp"
 #include "util/timer.hpp"
 
@@ -25,7 +28,12 @@ namespace {
 
 using namespace sa1d;
 
-constexpr int kNumDatasets = 4;
+/// Generator instances (kernel and phase rows) come first; the last two
+/// are the repo benchmark's instances (perfbench: square-replay's
+/// eukarya-like at scale 0.1, square-fresh's hv15r-like at 0.06, both seed
+/// 42 at SA1D_SCALE=1), timed in the phase rows only.
+constexpr int kNumGenerators = 4;
+constexpr int kNumDatasets = 6;
 
 CscMatrix<double> make_bench_matrix(int gen, double scale) {
   auto n = static_cast<index_t>(4096 * scale);
@@ -33,10 +41,12 @@ CscMatrix<double> make_bench_matrix(int gen, double scale) {
     case 0: return erdos_renyi<double>(std::max<index_t>(n, 64), 8.0, 11);
     case 1: return mesh2d<double>(std::max<index_t>(static_cast<index_t>(64 * std::sqrt(scale)), 8));
     case 2: return block_clustered<double>(std::max<index_t>(n, 64), 32, 8.0, 0.5, 7);
-    default: {
+    case 3: {
       auto sc = std::max(4, static_cast<int>(12 + std::log2(std::max(scale, 0.01))));
       return rmat<double>(sc, 8, 3);
     }
+    case 4: return make_dataset(Dataset::EukaryaLike, 0.1 * scale);
+    default: return make_dataset(Dataset::Hv15rLike, 0.06 * scale);
   }
 }
 
@@ -55,7 +65,9 @@ const char* gen_name(int gen) {
     case 0: return "erdos-renyi";
     case 1: return "mesh2d";
     case 2: return "clustered";
-    default: return "rmat";
+    case 3: return "rmat";
+    case 4: return "eukarya-like";
+    default: return "hv15r-like";
   }
 }
 
@@ -118,6 +130,72 @@ JsonRow measure(LocalKernel k, int gen, int threads, int min_reps = 3,
   return {kernel_name(k), gen_name(gen), threads, gflops, 1e3 * best, flops, out_nnz, reps};
 }
 
+/// Best-of-N wall seconds of fn(): at least `min_reps` repetitions and at
+/// least `min_seconds` of total measurement, at most 500 repetitions.
+template <typename F>
+double best_seconds(F&& fn, int* reps_out, int min_reps = 5, double min_seconds = 0.2) {
+  double best = 1e300, total = 0;
+  int reps = 0;
+  while ((reps < min_reps || total < min_seconds) && reps < 500) {
+    WallTimer t;
+    fn();
+    const double s = t.seconds();
+    best = std::min(best, s);
+    total += s;
+    ++reps;
+  }
+  *reps_out = reps;
+  return best;
+}
+
+struct PhaseRow {
+  const char* phase;
+  const char* dataset;
+  int threads;
+  double ns_per_flop;
+  double best_ms;
+  index_t flops;
+  index_t out_nnz;
+  int reps;
+};
+
+/// The engine's phases on A·A, each timed on its own with warm per-thread
+/// workspaces (what a cached plan sees): the symbolic pass, the class
+/// numeric pass (per-column accumulator classes; allocates and fills C's
+/// row ids and values), and the value-only replay into a preallocated
+/// value array over the row ids the numeric pass returned. The replay's
+/// values are checked bit for bit against the numeric pass.
+void measure_phases(int gen, int threads, std::vector<PhaseRow>& rows) {
+  using SR = PlusTimes<double>;
+  const auto& a = matrix_for(gen);
+  const index_t flops = total_flops(a, a);
+  std::vector<detail::Workspace<SR>> ws;
+  LocalSymbolic sym;
+  CscMatrix<double> c;
+  int reps = 0;
+  auto add = [&](const char* phase, double s) {
+    rows.push_back({phase, gen_name(gen), threads, 1e9 * s / static_cast<double>(flops), 1e3 * s,
+                    flops, c.nnz(), reps});
+  };
+  double s = best_seconds(
+      [&] { sym = spgemm_local_symbolic<SR, double>(a, a, LocalKernel::Hybrid, threads, &ws); },
+      &reps);
+  c = spgemm_local_numeric<SR, double>(a, a, sym, &ws);
+  add("symbolic", s);
+  s = best_seconds([&] { c = spgemm_local_numeric<SR, double>(a, a, sym, &ws); }, &reps);
+  add("numeric", s);
+  std::vector<double> vals(c.vals().size());
+  s = best_seconds(
+      [&] { spgemm_local_replay<SR, double>(a, a, sym, c.rowids(), vals, &ws); }, &reps);
+  add("replay", s);
+  if (!vals.empty() &&
+      std::memcmp(vals.data(), c.vals().data(), vals.size() * sizeof(double)) != 0) {
+    std::fprintf(stderr, "replay values differ from the numeric pass on %s t=%d\n",
+                 gen_name(gen), threads);
+    std::exit(1);
+  }
+}
+
 int run_json(const std::string& path) {
   // Open the output before measuring: a bad path should fail in
   // milliseconds, not after minutes of timing runs.
@@ -130,7 +208,7 @@ int run_json(const std::string& path) {
                                  LocalKernel::Hybrid};
   const int thread_counts[] = {1, 2, 4};
   std::vector<JsonRow> rows;
-  for (int gen = 0; gen < kNumDatasets; ++gen)
+  for (int gen = 0; gen < kNumGenerators; ++gen)
     for (auto k : kernels)
       for (int t : thread_counts) {
         rows.push_back(measure(k, gen, t));
@@ -138,6 +216,14 @@ int run_json(const std::string& path) {
                      rows.back().kernel, rows.back().dataset, t, rows.back().best_ms,
                      rows.back().gflops);
       }
+  std::vector<PhaseRow> phases;
+  for (int gen = 0; gen < kNumDatasets; ++gen)
+    for (int t : thread_counts) {
+      measure_phases(gen, t, phases);
+      const auto* p = &phases[phases.size() - 3];
+      std::fprintf(stderr, "  %-12s t=%d  symbolic %6.2f  numeric %6.2f  replay %6.2f ns/flop\n",
+                   p[0].dataset, t, p[0].ns_per_flop, p[1].ns_per_flop, p[2].ns_per_flop);
+    }
   std::fprintf(f, "{\n  \"bench\": \"local_spgemm\",\n  \"scale\": %.4f,\n", bench::bench_scale());
   std::fprintf(f, "  \"unit\": \"GFLOP/s\",\n");
   std::fprintf(f, "  \"flop_definition\": \"2 * sum_j flops(j); flops(j) = sum_{k in B(:,j)} nnz(A(:,k))\",\n");
@@ -151,6 +237,20 @@ int run_json(const std::string& path) {
                  r.kernel, r.dataset, r.threads, r.gflops, r.best_ms,
                  static_cast<long long>(r.flops), static_cast<long long>(r.out_nnz), r.reps,
                  i + 1 < rows.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n");
+  std::fprintf(f, "  \"phase_unit\": \"ns/flop\",\n");
+  std::fprintf(f, "  \"phase_flop_definition\": \"one multiply-add: sum_j flops(j)\",\n");
+  std::fprintf(f, "  \"phases\": [\n");
+  for (std::size_t i = 0; i < phases.size(); ++i) {
+    const auto& r = phases[i];
+    std::fprintf(f,
+                 "    {\"phase\": \"%s\", \"dataset\": \"%s\", \"threads\": %d, "
+                 "\"ns_per_flop\": %.4f, \"best_ms\": %.6f, \"flops\": %lld, "
+                 "\"output_nnz\": %lld, \"reps\": %d}%s\n",
+                 r.phase, r.dataset, r.threads, r.ns_per_flop, r.best_ms,
+                 static_cast<long long>(r.flops), static_cast<long long>(r.out_nnz), r.reps,
+                 i + 1 < phases.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

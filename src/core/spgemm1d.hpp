@@ -536,13 +536,22 @@ class SpgemmPlan1D {
       }
       gather_btilde();
     }
-    // Numeric passes in member order against the cached symbolic results.
-    std::vector<CscMatrix<VT>> c_locals;
-    c_locals.reserve(ms.size());
-    for (const auto& m : ms) {
+    // Numeric passes in member order. A plan that holds C's shell replays
+    // the values only (branch-free scatter–gather into a fresh value array);
+    // a plan's first pass runs the class numeric pass and captures the shell
+    // from its output.
+    std::vector<std::vector<VT>> c_vals(ms.size());
+    std::vector<std::optional<CscMatrix<VT>>> c_firsts(ms.size());
+    for (std::size_t m = 0; m < ms.size(); ++m) {
+      SpgemmPlan1D& p = *ms[m].plan;
       auto ph = comm.phase(Phase::Comp);
-      c_locals.push_back(spgemm_local_numeric<SR, VT>(m.plan->atilde_m_, m.plan->btilde_m_,
-                                                      m.plan->sym_, &m.plan->ws_));
+      if (p.c_shell_.has_value()) {
+        c_vals[m].resize(p.c_shell_->ir.size());
+        spgemm_local_replay<SR, VT>(p.atilde_m_, p.btilde_m_, p.sym_, p.c_shell_->ir, c_vals[m],
+                                    &p.ws_);
+      } else {
+        c_firsts[m] = spgemm_local_numeric<SR, VT>(p.atilde_m_, p.btilde_m_, p.sym_, &p.ws_);
+      }
     }
 
     // Keep A's value windows alive until every rank finished fetching.
@@ -555,7 +564,13 @@ class SpgemmPlan1D {
       DcscMatrix<VT> c_dcsc;
       {
         auto ph = comm.phase(Phase::Other);
-        c_dcsc = DcscMatrix<VT>::from_csc(c_locals[m]);
+        if (c_firsts[m].has_value()) {
+          if (!p.c_shell_.has_value()) p.c_shell_ = CShell::of(*c_firsts[m]);
+          c_vals[m] = std::move(c_firsts[m]->mutable_vals());
+        }
+        const CShell& sh = *p.c_shell_;
+        c_dcsc =
+            DcscMatrix<VT>(p.c_nrows_, p.sym_.ncols, sh.jc, sh.cp, sh.ir, std::move(c_vals[m]));
       }
       ++p.executions_;
       out.emplace_back(p.c_nrows_, p.c_ncols_, p.out_bounds_, comm.rank(), std::move(c_dcsc));
@@ -614,6 +629,7 @@ class SpgemmPlan1D {
     b += bt_src_.size() * sizeof(index_t);
     b += sym_.bounds.size() * sizeof(index_t) + sym_.colptr.size() * sizeof(index_t) +
          sym_.klass.size();
+    if (c_shell_.has_value()) b += c_shell_->bytes();
     return b;
   }
 
@@ -630,6 +646,27 @@ class SpgemmPlan1D {
     index_t elo = 0;
     index_t len = 0;
     std::vector<CopySpan> spans;
+  };
+
+  /// C's DCSC structure as this plan's first numeric pass returned it:
+  /// replays copy it into each output and write only the values.
+  struct CShell {
+    std::vector<index_t> jc, cp, ir;
+
+    static CShell of(const CscMatrix<VT>& c) {
+      CShell s;
+      s.cp.push_back(0);
+      for (index_t j = 0; j < c.ncols(); ++j) {
+        if (c.col_nnz(j) == 0) continue;
+        s.jc.push_back(j);
+        s.cp.push_back(c.colptr()[static_cast<std::size_t>(j) + 1]);
+      }
+      s.ir = c.rowids();
+      return s;
+    }
+    [[nodiscard]] std::uint64_t bytes() const {
+      return (jc.size() + cp.size() + ir.size()) * sizeof(index_t);
+    }
   };
 
   static void append_span(std::vector<CopySpan>& spans, index_t src, index_t len, index_t dst) {
@@ -664,6 +701,7 @@ class SpgemmPlan1D {
   // Local engine's cached symbolic result + warm per-thread workspaces.
   LocalSymbolic sym_;
   std::vector<detail::Workspace<SR>> ws_;
+  std::optional<CShell> c_shell_;  ///< captured by the first execute
 
   Spgemm1dInfo plan_info_{};
   index_t plan_rdma_calls_ = 0;

@@ -54,13 +54,15 @@ namespace summadetail {
 /// result with warm workspaces, and the ⊕-fold program from the stage's
 /// partial-C values into the merged per-rank accumulator. Captured by
 /// summa_stages while the fresh loop runs; summa_stages_replay moves only
-/// values (row/column broadcasts of bare val arrays) and runs numeric-only
-/// local passes.
+/// values (row/column broadcasts of bare val arrays). Its first pass runs
+/// the class numeric pass and keeps each stage product's row ids; later
+/// passes run the value-only replay kernel (spgemm_local_replay) on them.
 template <typename VT, typename SR>
 struct SummaSched {
   struct Stage {
     CscMatrix<VT> a_blk, b_blk;  ///< received block structure (cached shells)
     LocalSymbolic sym;           ///< symbolic result of a_blk · b_blk
+    std::vector<index_t> c_rows;  ///< row ids of a_blk · b_blk, from the first replay
     /// Root-side value sources for the replay broadcasts (meaningful only
     /// on the stage's roots): the fine A block is a contiguous val span of
     /// this rank's A piece; the fine B block is a row filter, so its values
@@ -76,6 +78,7 @@ struct SummaSched {
   std::vector<std::uint8_t> acc_first;
   std::size_t acc_nnz = 0;  ///< merged partial-C count on this rank
   std::vector<detail::Workspace<SR>> ws;
+  std::vector<VT> c_vals;  ///< replay scratch: one stage product's values (largest stage)
   std::uint64_t bcast_recv_bytes = 0;  ///< value-only replay broadcast volume (this rank)
 
   /// Byte-accurate residency of the cached schedule on this rank (major
@@ -92,8 +95,10 @@ struct SummaSched {
       b += st.sym.bounds.size() * sizeof(index_t) + st.sym.colptr.size() * sizeof(index_t) +
            st.sym.klass.size();
       b += st.b_src.size() * sizeof(index_t);
+      b += st.c_rows.size() * sizeof(index_t);
     }
     b += acc_dst.size() * sizeof(index_t) + acc_first.size();
+    b += c_vals.size() * sizeof(VT);
     return b;
   }
 };
@@ -365,15 +370,17 @@ namespace summadetail {
 /// Replays captured stage schedules of plans on one shared grid: per stage,
 /// value-only row/column broadcasts (the roots gather from their route
 /// blocks through the recorded span/map) into the cached block shells, the
-/// numeric-only local pass, and the ⊕-fold into each plan's `acc_vals`
-/// (resized to the merged count; slot order matches the fresh call's merged
-/// accumulator). One plan is the solo replay; k plans share each stage's
-/// single row and column broadcast, which carries the member-major
-/// concatenation of their payloads (the plans share the grid, hence the
-/// stage roots). Each member keeps its own guard and flat counter; the
-/// gauge charges every member's staging, and the overlapped pipeline keeps
-/// at most `lookahead` stages in flight (0 = all). Collective over the grid
-/// communicator the schedules were captured on.
+/// local pass (the value-only replay kernel into the schedule's scratch
+/// once the first pass captured the stage rows), and the ⊕-fold
+/// into each plan's `acc_vals` (resized to the merged count; slot order
+/// matches the fresh call's merged accumulator). One plan is the solo
+/// replay; k plans share each stage's single row and column broadcast,
+/// which carries the member-major concatenation of their payloads (the
+/// plans share the grid, hence the stage roots). Each member keeps its own
+/// guard and flat counter; the gauge charges every member's staging, and
+/// the overlapped pipeline keeps at most `lookahead` stages in flight (0 =
+/// all). Collective over the grid communicator the schedules were captured
+/// on.
 template <typename SR, typename VT>
 void summa_stages_replay(Comm& comm, std::span<GridPlan<VT, SR>* const> plans,
                          bool overlap = false, int lookahead = 0) {
@@ -449,15 +456,29 @@ void summa_stages_replay(Comm& comm, std::span<GridPlan<VT, SR>* const> plans,
         aoff += an;
         boff += bn;
       }
-      CscMatrix<VT> c_blk;
+      // The first replay runs the class numeric pass and keeps the stage
+      // product's row ids; later ones replay values only. Capturing here
+      // rather than in the build keeps the rows out of the build's peak.
+      const auto cn = static_cast<std::size_t>(st.sym.colptr.back());
+      std::optional<CscMatrix<VT>> first;
+      std::span<const VT> c_vals;
       {
         auto ph = comm.phase(Phase::Comp);
-        c_blk = spgemm_local_numeric<SR, VT>(st.a_blk, st.b_blk, st.sym, &sched.ws);
+        if (st.c_rows.size() != cn) {
+          first = spgemm_local_numeric<SR, VT>(st.a_blk, st.b_blk, st.sym, &sched.ws);
+          st.c_rows = first->rowids();
+          c_vals = first->vals();
+        } else {
+          if (sched.c_vals.size() < cn) sched.c_vals.resize(cn);
+          spgemm_local_replay<SR, VT>(st.a_blk, st.b_blk, st.sym, st.c_rows,
+                                      std::span<VT>(sched.c_vals.data(), cn), &sched.ws);
+          c_vals = std::span<const VT>(sched.c_vals.data(), cn);
+        }
       }
       auto ph = comm.phase(Phase::Other);
       auto& acc = plans[m]->acc_vals;
       std::size_t fl = flat[m];
-      for (const auto& v : c_blk.vals()) {
+      for (const VT v : c_vals) {
         const auto slot = static_cast<std::size_t>(sched.acc_dst[fl]);
         acc[slot] = sched.acc_first[fl] != 0 ? v : SR::add(acc[slot], v);
         ++fl;

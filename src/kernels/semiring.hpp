@@ -62,4 +62,34 @@ struct PlusSelect2nd {
   static T multiply(T /*a*/, T b) { return b; }
 };
 
+/// Replay seed of a semiring: an exact left identity of ⊕ over every value
+/// its ⊗ can return (`add(value(), x) == x` bit for bit). The value-only
+/// replay kernel (spgemm_local_replay) seeds C's known rows with it and
+/// ⊕-folds every product without a first-touch branch; the reference stores
+/// a row's first product as-is, so anything short of bit-exact would change
+/// the output. Semirings without such a seed keep `exact = false` and take
+/// the kernel's per-row stamp path:
+///   - MinPlus: std::min(+inf, NaN) is +inf, so +inf is not exact;
+///   - PlusSelect2nd: ⊗ returns B's value untouched, and −0.0 + sNaN is a
+///     quiet NaN.
+template <typename SR>
+struct ReplaySeed {
+  static constexpr bool exact = false;
+};
+
+/// IEEE `+`: −0.0 + x == x for ±0, ±inf, finite x and quiet NaN (+0.0
+/// would turn a −0.0 sum into +0.0). A product a·b is never a signaling
+/// NaN. For integer T, -T{0} is 0.
+template <typename T>
+struct ReplaySeed<PlusTimes<T>> {
+  static constexpr bool exact = true;
+  static constexpr T value() { return -T{0}; }
+};
+
+template <>
+struct ReplaySeed<OrAnd> {
+  static constexpr bool exact = true;
+  static constexpr bool value() { return false; }
+};
+
 }  // namespace sa1d

@@ -17,7 +17,12 @@
 //      written straight into the final CscMatrix arrays at precomputed
 //      offsets: no per-range staging buffers, no concatenation copy, and
 //      the output is byte-identical for every thread count.
-// Both phases run on persistent per-thread workspaces: a grow-only
+//   3. replay — once one numeric pass has returned C's row ids, a caller
+//      that keeps them (the SA-1D and grid plans) re-runs only the values:
+//      spgemm_local_replay seeds the known rows, ⊕-folds every product
+//      branch-free and gathers in the known order — no class dispatch, no
+//      sort or bitmap scan, no allocation, no row-id write.
+// All phases run on persistent per-thread workspaces: a grow-only
 // open-addressing table cleared in O(1) by bumping a generation tag (no
 // O(capacity) reset per column), a combined stamp+value dense accumulator
 // (one cache line per touched row instead of two), and reusable
@@ -549,6 +554,61 @@ void run_range(const CscMatrix<VT>& a, const CscMatrix<VT>& b, index_t jlo, inde
   }
 }
 
+/// Value-only replay over columns [jlo, jhi) of a product whose row ids are
+/// known (`rows`, laid out by `colptr`): per column, seed the known rows in
+/// the dense accumulator, ⊕ every product in (B-position, A-position)
+/// order, gather in the known row order. No class dispatch, sort, bitmap
+/// scan or row-id write. Semirings without an exact seed (ReplaySeed) store
+/// each row's first product through the per-row stamp instead, like the
+/// stamp-SPA class — the only branch, resolved at compile time.
+template <SemiringConcept SR, typename VT>
+void replay_range(const CscMatrix<VT>& a, const CscMatrix<VT>& b, index_t jlo, index_t jhi,
+                  const index_t* colptr, const index_t* rows, Workspace<SR>& ws, VT* vals) {
+  using T = typename SR::value_type;
+  using StoredT = typename Workspace<SR>::StoredT;
+  constexpr bool kSeeded = ReplaySeed<SR>::exact;
+  if constexpr (kSeeded)
+    ws.ensure_dense(a.nrows());
+  else
+    ws.ensure_stamp(a.nrows());
+  StoredT* accum = ws.accum.data();
+  index_t* stamp = ws.stamp.data();
+  const index_t* acp = a.colptr().data();
+  const index_t* arw = a.rowids().data();
+  const VT* avl = a.vals().data();
+  const index_t* bcp = b.colptr().data();
+  const index_t* brw = b.rowids().data();
+  const VT* bvl = b.vals().data();
+  for (index_t j = jlo; j < jhi; ++j) {
+    const index_t lo = colptr[j], hi = colptr[j + 1];
+    if (lo == hi) continue;
+    [[maybe_unused]] index_t token = 0;
+    if constexpr (kSeeded) {
+      const auto seed = static_cast<StoredT>(ReplaySeed<SR>::value());
+      for (index_t i = lo; i < hi; ++i) accum[rows[i]] = seed;
+    } else {
+      token = ++ws.spa_token;
+    }
+    for (index_t p = bcp[j]; p < bcp[j + 1]; ++p) {
+      const index_t k = brw[p];
+      const T bv = static_cast<T>(bvl[p]);
+      for (index_t q = acp[k]; q < acp[k + 1]; ++q) {
+        const index_t r = arw[q];
+        const T prod = SR::multiply(static_cast<T>(avl[q]), bv);
+        if constexpr (kSeeded) {
+          accum[r] = static_cast<StoredT>(SR::add(static_cast<T>(accum[r]), prod));
+        } else if (stamp[r] != token) {
+          stamp[r] = token;
+          accum[r] = static_cast<StoredT>(prod);
+        } else {
+          accum[r] = static_cast<StoredT>(SR::add(static_cast<T>(accum[r]), prod));
+        }
+      }
+    }
+    for (index_t i = lo; i < hi; ++i) vals[i] = static_cast<VT>(accum[rows[i]]);
+  }
+}
+
 /// Runs fn(t) on `parts` threads (inline when parts == 1).
 template <typename F>
 void parallel_for_parts(int parts, F&& fn) {
@@ -668,6 +728,36 @@ CscMatrix<VT> spgemm_local_numeric(const CscMatrix<VT>& a, const CscMatrix<VT>& 
                               ws[static_cast<std::size_t>(t)], rowids.data(), vals.data());
   });
   return CscMatrix<VT>(sym.nrows, sym.ncols, sym.colptr, std::move(rowids), std::move(vals));
+}
+
+/// Value-only numeric replay: C's values for operands with the structure
+/// `sym` analyzed, written into the caller-owned `vals` in the order of
+/// `rows` — C's row ids as an earlier numeric pass over that structure
+/// returned them (laid out by sym.colptr). Bit-identical to the values of
+/// spgemm_local_numeric for every semiring: same per-row ⊕ order, and the
+/// first product enters through an exact seed or a per-row stamp (see
+/// ReplaySeed). Work is split over sym.bounds like the numeric pass.
+template <SemiringConcept SR, typename VT>
+void spgemm_local_replay(const CscMatrix<VT>& a, const CscMatrix<VT>& b, const LocalSymbolic& sym,
+                         std::span<const index_t> rows, std::span<VT> vals,
+                         std::vector<detail::Workspace<SR>>* workspaces = nullptr) {
+  require(a.nrows() == sym.nrows && b.ncols() == sym.ncols,
+          "spgemm_local_replay: operand dimensions do not match the symbolic plan");
+  require(a.ncols() == b.nrows(), "spgemm_local_replay: inner dimension mismatch");
+  const auto total = static_cast<std::size_t>(sym.colptr.back());
+  require(rows.size() == total && vals.size() == total,
+          "spgemm_local_replay: row/value spans must hold exactly nnz(C) entries");
+
+  std::vector<detail::Workspace<SR>> local_ws;
+  auto& ws = workspaces != nullptr ? *workspaces : local_ws;
+  if (ws.size() < static_cast<std::size_t>(sym.nt))
+    ws.resize(static_cast<std::size_t>(sym.nt));
+
+  detail::parallel_for_parts(sym.nt, [&](int t) {
+    detail::replay_range<SR, VT>(a, b, sym.bounds[static_cast<std::size_t>(t)],
+                                 sym.bounds[static_cast<std::size_t>(t) + 1], sym.colptr.data(),
+                                 rows.data(), ws[static_cast<std::size_t>(t)], vals.data());
+  });
 }
 
 /// C = A ⊕.⊗ B with the chosen accumulator. `threads` > 1 splits C's columns

@@ -190,6 +190,7 @@ struct GridTerms {
   double redist_elems = 0.0; ///< in/out redistribution elements per rank
   double bcast_elems = 0.0;  ///< stage-broadcast elements received per rank
   double latency_msgs = 0.0; ///< α multiplier: stage rounds + all-to-alls (+ layer folds)
+  double replay_latency_msgs = 0.0; ///< the same for a value-only replay
   double imb = 1.0;          ///< even_split max/mean load factor of the C blocks
 };
 
@@ -218,6 +219,9 @@ GridTerms grid_terms(const AlgoCostInputs& in, int layers, double imb_scale = 1.
   // Stage broadcast rounds + the three all-to-alls, plus the c cross-layer
   // fold contributions per output chunk that plain SUMMA does not pay.
   t.latency_msgs = 2.0 * s + 3.0 * P + (cd > 1.0 ? cd : 0.0);
+  // A replay routes A and B in one all-to-all (spgemm_grid_replay): two
+  // all-to-alls, not three.
+  t.replay_latency_msgs = t.latency_msgs - P;
   // Per-rank load imbalance of the grid multiply, analytic part: the
   // even_split block-shape skew (largest row × column block pair) times the
   // operands' measured 1D flop skew — sparsity skews per-block work far
@@ -602,12 +606,13 @@ AlgoPrediction CostModel::predict_replay(const AlgoCostInputs& in_raw, Algo algo
     }
     case Algo::Summa2D:
     case Algo::Split3D: {
-      // Same element volumes and latency as the one-shot prediction, but
-      // the exchanges carry bare values (vb per element, not a triple) and
-      // the fold programs replace the sort-side merge work.
+      // Same element volumes as the one-shot prediction, but the exchanges
+      // carry bare values (vb per element, not a triple), the inbound
+      // routes share one all-to-all, and the fold programs replace the
+      // sort-side merge work.
       const GridTerms t = grid_terms(in, algo == Algo::Split3D ? in.layers : 1, p_.imb_scale);
       if (!t.ok) break;  // predict() already marked it feasible, so unreachable
-      pr.comm_s = alpha * t.latency_msgs + beta * vb * (t.redist_elems + t.bcast_elems);
+      pr.comm_s = alpha * t.replay_latency_msgs + beta * vb * (t.redist_elems + t.bcast_elems);
       pr.other_coeff = flops / P + t.redist_elems;
       break;
     }
@@ -640,7 +645,7 @@ AlgoPrediction CostModel::predict_replay(const AlgoCostInputs& in_raw, Algo algo
         const double redist_a = nnz_a / P;
         const double bc_a = nnz_a / (cd * static_cast<double>(g.rows));
         pr.comm_s +=
-            (kd - 1.0) * (alpha * t.latency_msgs + beta * vb * (redist_a + bc_a));
+            (kd - 1.0) * (alpha * t.replay_latency_msgs + beta * vb * (redist_a + bc_a));
         pr.other_coeff += (kd - 1.0) * redist_a;
         break;
       }

@@ -545,5 +545,38 @@ TEST(GridRoute, CountingSortMatchesSortedCaptureOnSplit3dLayerBounds) {
   }
 }
 
+TEST(GridPlanResidency, CountsStageRowIdsAndReplayScratch) {
+  // A grid plan's first replay keeps each stage product's row ids (and the
+  // merged partial values); the second adds the value scratch, sized to the
+  // largest stage product. bytes_resident must count exactly those arrays.
+  auto a = with_values(erdos_renyi<double>(200, 5.0, 31), 0);
+  using Plan = GridPlan<double, PlusTimes<double>>;
+  Machine m(4);
+  m.run([&](Comm& c) {
+    auto da = DistMatrix1D<double>::from_global(c, a);
+    Plan plan;
+    auto fresh = spgemm_summa_2d_dist(c, da, da, LocalKernel::Hybrid, 1, &plan);
+    const ReplayMember<Plan, double> one{&plan, &da, &da};
+    const std::span<const ReplayMember<Plan, double>> batch(&one, 1);
+    std::uint64_t rows = 0, widest = 0;
+    for (const auto& st : plan.sched.stages) {
+      EXPECT_TRUE(st.c_rows.empty());
+      const auto n = static_cast<std::uint64_t>(st.sym.colptr.back());
+      rows += n;
+      widest = std::max(widest, n);
+    }
+    const std::uint64_t built = plan.bytes_resident();
+    auto first = spgemm_grid_replay<PlusTimes<double>>(c, batch);
+    for (const auto& st : plan.sched.stages)
+      EXPECT_EQ(st.c_rows.size(), static_cast<std::size_t>(st.sym.colptr.back()));
+    const std::uint64_t captured = plan.bytes_resident();
+    EXPECT_EQ(captured, built + rows * sizeof(index_t) + plan.sched.acc_nnz * sizeof(double));
+    auto second = spgemm_grid_replay<PlusTimes<double>>(c, batch);
+    EXPECT_EQ(plan.bytes_resident(), captured + widest * sizeof(double));
+    EXPECT_TRUE(first[0].local() == fresh.local());
+    EXPECT_TRUE(second[0].local() == fresh.local());
+  });
+}
+
 }  // namespace
 }  // namespace sa1d

@@ -376,6 +376,36 @@ TEST(DistSpgemmAuto, ReplayPredictionsAreCheaperAndPlanFree) {
   }
 }
 
+TEST(DistSpgemmAuto, GridReplayChargesOneInboundAllToAll) {
+  // A one-shot grid multiply pays 2 broadcast rounds per stage plus three
+  // all-to-alls of P messages (route A, route B, scatter C) and, for
+  // split-3D, one fold round per layer; a replay routes A and B in one
+  // exchange, so it pays one all-to-all fewer. With β = 0 and a single α
+  // the comm terms are exact multiples of α.
+  CostParams p;
+  p.alpha_intra = 1e-6;
+  p.beta_intra = 0.0;
+  p.ranks_per_node = 64;  // every P below stays on one node: α = alpha_intra
+  CostModel cm(p);
+  AlgoCostInputs in;
+  in.m = in.k = in.n = 4096;
+  in.nnz_a = in.nnz_b = 40000;
+  in.nzc_a = 3000;
+  in.flops = 400000;
+  in.max_rank_flops = 100000;
+  in.overlap = false;
+  in.P = 4;  // 2×2 grid, lcm(2, 2) = 2 stages
+  EXPECT_DOUBLE_EQ(cm.predict(in, Algo::Summa2D).comm_s, 16 * p.alpha_intra);
+  EXPECT_DOUBLE_EQ(cm.predict_replay(in, Algo::Summa2D).comm_s, 12 * p.alpha_intra);
+  in.panels = 2;  // each panel replays its own inbound exchange
+  EXPECT_DOUBLE_EQ(cm.predict_replay(in, Algo::Summa2D).comm_s, 24 * p.alpha_intra);
+  in.panels = 0;
+  in.P = 8;  // 2 layers of 2×2 grids
+  in.layers = 2;
+  EXPECT_DOUBLE_EQ(cm.predict(in, Algo::Split3D).comm_s, 30 * p.alpha_intra);
+  EXPECT_DOUBLE_EQ(cm.predict_replay(in, Algo::Split3D).comm_s, 22 * p.alpha_intra);
+}
+
 TEST(DistSpgemmAuto, SparsityAdvantageFavorsSa1dOverRing) {
   // With a tiny needed fraction the SA-1D prediction must undercut the
   // ring's full-replication cost at every realistic size.

@@ -265,5 +265,26 @@ TEST(SpgemmPlan1d, EmptyPlanReportsEmptyAndRefusesExecute) {
                std::invalid_argument);
 }
 
+TEST(SpgemmPlan1D, ResidencyCountsTheCapturedCShell) {
+  // The first execute captures C's DCSC structure (jc, cp, ir) from its
+  // numeric pass; replays copy it into each output. bytes_resident must
+  // grow by exactly those arrays at capture and stay put on replay.
+  auto a = with_values(erdos_renyi<double>(300, 6.0, 5), 1);
+  Machine m(4);
+  m.run([&](Comm& c) {
+    auto da = DistMatrix1D<double>::from_global(c, a);
+    SpgemmPlan1D<double> plan(c, da, da);
+    const std::uint64_t built = plan.bytes_resident();
+    auto c1 = plan.execute(c, da, da);
+    const auto& l = c1.local();
+    const std::uint64_t shell = (l.jc().size() + l.cp().size() + l.ir().size()) * sizeof(index_t);
+    EXPECT_GT(shell, 0u);
+    EXPECT_EQ(plan.bytes_resident(), built + shell);
+    auto c2 = plan.execute(c, da, da);
+    EXPECT_EQ(plan.bytes_resident(), built + shell);
+    EXPECT_TRUE(c2.local() == l);
+  });
+}
+
 }  // namespace
 }  // namespace sa1d
