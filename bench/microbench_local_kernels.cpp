@@ -13,6 +13,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -28,12 +29,15 @@ namespace {
 
 using namespace sa1d;
 
-/// Generator instances (kernel and phase rows) come first; the last two
-/// are the repo benchmark's instances (perfbench: square-replay's
-/// eukarya-like at scale 0.1, square-fresh's hv15r-like at 0.06, both seed
-/// 42 at SA1D_SCALE=1), timed in the phase rows only.
+/// Generator instances (kernel and phase rows) come first; the rest are
+/// timed in the phase rows only: the repo benchmark's instances
+/// (perfbench: square-replay's eukarya-like at scale 0.1, square-fresh's
+/// hv15r-like at 0.06, both seed 42 at SA1D_SCALE=1), then a hypersparse
+/// Erdős–Rényi instance whose row dimension (2^16 at scale 1, at least
+/// 2^14) is far above the engine's cache-resident bound, so Hybrid sends
+/// its columns to the heap and hash classes.
 constexpr int kNumGenerators = 4;
-constexpr int kNumDatasets = 6;
+constexpr int kNumDatasets = 7;
 
 CscMatrix<double> make_bench_matrix(int gen, double scale) {
   auto n = static_cast<index_t>(4096 * scale);
@@ -46,7 +50,10 @@ CscMatrix<double> make_bench_matrix(int gen, double scale) {
       return rmat<double>(sc, 8, 3);
     }
     case 4: return make_dataset(Dataset::EukaryaLike, 0.1 * scale);
-    default: return make_dataset(Dataset::Hv15rLike, 0.06 * scale);
+    case 5: return make_dataset(Dataset::Hv15rLike, 0.06 * scale);
+    default:
+      return erdos_renyi<double>(std::max<index_t>(static_cast<index_t>(65536 * scale), 16384),
+                                 6.0, 13);
   }
 }
 
@@ -67,7 +74,8 @@ const char* gen_name(int gen) {
     case 2: return "clustered";
     case 3: return "rmat";
     case 4: return "eukarya-like";
-    default: return "hv15r-like";
+    case 5: return "hv15r-like";
+    default: return "er-hypersparse";
   }
 }
 
@@ -157,6 +165,7 @@ struct PhaseRow {
   index_t flops;
   index_t out_nnz;
   int reps;
+  std::uint64_t workspace_bytes;
 };
 
 /// The engine's phases on A·A, each timed on its own with warm per-thread
@@ -164,7 +173,10 @@ struct PhaseRow {
 /// numeric pass (per-column accumulator classes; allocates and fills C's
 /// row ids and values), and the value-only replay into a preallocated
 /// value array over the row ids the numeric pass returned. The replay's
-/// values are checked bit for bit against the numeric pass.
+/// values are checked bit for bit against the numeric pass. Each row also
+/// records the per-thread workspace bytes held after its phase; the
+/// workspaces are grow-only and shared by the three phases, so the replay
+/// row equals the numeric row unless the replay grew them.
 void measure_phases(int gen, int threads, std::vector<PhaseRow>& rows) {
   using SR = PlusTimes<double>;
   const auto& a = matrix_for(gen);
@@ -174,8 +186,10 @@ void measure_phases(int gen, int threads, std::vector<PhaseRow>& rows) {
   CscMatrix<double> c;
   int reps = 0;
   auto add = [&](const char* phase, double s) {
+    std::uint64_t wsb = 0;
+    for (const auto& w : ws) wsb += w.bytes();
     rows.push_back({phase, gen_name(gen), threads, 1e9 * s / static_cast<double>(flops), 1e3 * s,
-                    flops, c.nnz(), reps});
+                    flops, c.nnz(), reps, wsb});
   };
   double s = best_seconds(
       [&] { sym = spgemm_local_symbolic<SR, double>(a, a, LocalKernel::Hybrid, threads, &ws); },
@@ -221,8 +235,12 @@ int run_json(const std::string& path) {
     for (int t : thread_counts) {
       measure_phases(gen, t, phases);
       const auto* p = &phases[phases.size() - 3];
-      std::fprintf(stderr, "  %-12s t=%d  symbolic %6.2f  numeric %6.2f  replay %6.2f ns/flop\n",
-                   p[0].dataset, t, p[0].ns_per_flop, p[1].ns_per_flop, p[2].ns_per_flop);
+      std::fprintf(stderr,
+                   "  %-14s t=%d  symbolic %6.2f  numeric %6.2f  replay %6.2f ns/flop"
+                   "  workspace %llu -> %llu B\n",
+                   p[0].dataset, t, p[0].ns_per_flop, p[1].ns_per_flop, p[2].ns_per_flop,
+                   static_cast<unsigned long long>(p[1].workspace_bytes),
+                   static_cast<unsigned long long>(p[2].workspace_bytes));
     }
   std::fprintf(f, "{\n  \"bench\": \"local_spgemm\",\n  \"scale\": %.4f,\n", bench::bench_scale());
   std::fprintf(f, "  \"unit\": \"GFLOP/s\",\n");
@@ -247,9 +265,10 @@ int run_json(const std::string& path) {
     std::fprintf(f,
                  "    {\"phase\": \"%s\", \"dataset\": \"%s\", \"threads\": %d, "
                  "\"ns_per_flop\": %.4f, \"best_ms\": %.6f, \"flops\": %lld, "
-                 "\"output_nnz\": %lld, \"reps\": %d}%s\n",
+                 "\"output_nnz\": %lld, \"reps\": %d, \"workspace_bytes\": %llu}%s\n",
                  r.phase, r.dataset, r.threads, r.ns_per_flop, r.best_ms,
                  static_cast<long long>(r.flops), static_cast<long long>(r.out_nnz), r.reps,
+                 static_cast<unsigned long long>(r.workspace_bytes),
                  i + 1 < phases.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

@@ -536,10 +536,9 @@ class SpgemmPlan1D {
       }
       gather_btilde();
     }
-    // Numeric passes in member order. A plan that holds C's shell replays
-    // the values only (branch-free scatter–gather into a fresh value array);
-    // a plan's first pass runs the class numeric pass and captures the shell
-    // from its output.
+    // Numeric passes in member order. A plan's first pass runs the class
+    // numeric pass (its output becomes C's shell below); a plan that holds
+    // the shell replays the values only, into a fresh value array.
     std::vector<std::vector<VT>> c_vals(ms.size());
     std::vector<std::optional<CscMatrix<VT>>> c_firsts(ms.size());
     for (std::size_t m = 0; m < ms.size(); ++m) {
@@ -565,12 +564,13 @@ class SpgemmPlan1D {
       {
         auto ph = comm.phase(Phase::Other);
         if (c_firsts[m].has_value()) {
-          if (!p.c_shell_.has_value()) p.c_shell_ = CShell::of(*c_firsts[m]);
-          c_vals[m] = std::move(c_firsts[m]->mutable_vals());
+          c_dcsc = DcscMatrix<VT>::from_csc(*c_firsts[m]);
+          if (!p.c_shell_.has_value()) p.c_shell_ = CShell{c_dcsc.jc(), c_dcsc.cp(), c_dcsc.ir()};
+        } else {
+          const CShell& sh = *p.c_shell_;
+          c_dcsc =
+              DcscMatrix<VT>(p.c_nrows_, p.sym_.ncols, sh.jc, sh.cp, sh.ir, std::move(c_vals[m]));
         }
-        const CShell& sh = *p.c_shell_;
-        c_dcsc =
-            DcscMatrix<VT>(p.c_nrows_, p.sym_.ncols, sh.jc, sh.cp, sh.ir, std::move(c_vals[m]));
       }
       ++p.executions_;
       out.emplace_back(p.c_nrows_, p.c_ncols_, p.out_bounds_, comm.rank(), std::move(c_dcsc));
@@ -653,17 +653,6 @@ class SpgemmPlan1D {
   struct CShell {
     std::vector<index_t> jc, cp, ir;
 
-    static CShell of(const CscMatrix<VT>& c) {
-      CShell s;
-      s.cp.push_back(0);
-      for (index_t j = 0; j < c.ncols(); ++j) {
-        if (c.col_nnz(j) == 0) continue;
-        s.jc.push_back(j);
-        s.cp.push_back(c.colptr()[static_cast<std::size_t>(j) + 1]);
-      }
-      s.ir = c.rowids();
-      return s;
-    }
     [[nodiscard]] std::uint64_t bytes() const {
       return (jc.size() + cp.size() + ir.size()) * sizeof(index_t);
     }

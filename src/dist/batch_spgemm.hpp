@@ -213,6 +213,7 @@ std::vector<DistMatrix1D<VT>> spgemm_dist_batched(
           const std::size_t i = g.idx[m];
           results[i] = std::move(cs[m]);
           cache.record_hit(comm, entries[i]->plan->chosen());
+          cache.reagree_after_hit(comm, entries[i], /*rebuilt=*/false);
           if (stats != nullptr) (*stats)[i].cache_hits = 1;
         }
       }

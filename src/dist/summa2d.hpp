@@ -55,8 +55,9 @@ namespace summadetail {
 /// partial-C values into the merged per-rank accumulator. Captured by
 /// summa_stages while the fresh loop runs; summa_stages_replay moves only
 /// values (row/column broadcasts of bare val arrays). Its first pass runs
-/// the class numeric pass and keeps each stage product's row ids; later
-/// passes run the value-only replay kernel (spgemm_local_replay) on them.
+/// the class numeric pass, keeps each stage product's row ids and sizes the
+/// value scratch; later passes run the value-only replay kernel
+/// (spgemm_local_replay) on them.
 template <typename VT, typename SR>
 struct SummaSched {
   struct Stage {
@@ -456,8 +457,9 @@ void summa_stages_replay(Comm& comm, std::span<GridPlan<VT, SR>* const> plans,
         aoff += an;
         boff += bn;
       }
-      // The first replay runs the class numeric pass and keeps the stage
-      // product's row ids; later ones replay values only. Capturing here
+      // The first replay runs the class numeric pass, keeps the stage
+      // product's row ids and sizes the value scratch, so the schedule grows
+      // on that pass only; later ones replay values only. Capturing here
       // rather than in the build keeps the rows out of the build's peak.
       const auto cn = static_cast<std::size_t>(st.sym.colptr.back());
       std::optional<CscMatrix<VT>> first;
@@ -467,9 +469,9 @@ void summa_stages_replay(Comm& comm, std::span<GridPlan<VT, SR>* const> plans,
         if (st.c_rows.size() != cn) {
           first = spgemm_local_numeric<SR, VT>(st.a_blk, st.b_blk, st.sym, &sched.ws);
           st.c_rows = first->rowids();
+          if (sched.c_vals.size() < cn) sched.c_vals.resize(cn);
           c_vals = first->vals();
         } else {
-          if (sched.c_vals.size() < cn) sched.c_vals.resize(cn);
           spgemm_local_replay<SR, VT>(st.a_blk, st.b_blk, st.sym, st.c_rows,
                                       std::span<VT>(sched.c_vals.data(), cn), &sched.ws);
           c_vals = std::span<const VT>(sched.c_vals.data(), cn);

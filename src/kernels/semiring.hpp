@@ -68,7 +68,7 @@ struct PlusSelect2nd {
 /// ⊕-folds every product without a first-touch branch; the reference stores
 /// a row's first product as-is, so anything short of bit-exact would change
 /// the output. Semirings without such a seed keep `exact = false` and take
-/// the kernel's per-row stamp path:
+/// the kernel's first-touch path (an occupancy bit or a hash-slot tag):
 ///   - MinPlus: std::min(+inf, NaN) is +inf, so +inf is not exact;
 ///   - PlusSelect2nd: ⊗ returns B's value untouched, and −0.0 + sNaN is a
 ///     quiet NaN.

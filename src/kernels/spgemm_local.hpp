@@ -19,9 +19,10 @@
 //      the output is byte-identical for every thread count.
 //   3. replay — once one numeric pass has returned C's row ids, a caller
 //      that keeps them (the SA-1D and grid plans) re-runs only the values:
-//      spgemm_local_replay seeds the known rows, ⊕-folds every product
-//      branch-free and gathers in the known order — no class dispatch, no
-//      sort or bitmap scan, no allocation, no row-id write.
+//      spgemm_local_replay seeds the known rows, ⊕-folds every product and
+//      gathers in the known order, each column in its class's footprint
+//      (dense accumulator, hash table, or a scaled copy) — no sort or
+//      bitmap scan, no row-id write.
 // All phases run on persistent per-thread workspaces: a grow-only
 // open-addressing table cleared in O(1) by bumping a generation tag (no
 // O(capacity) reset per column), a combined stamp+value dense accumulator
@@ -229,6 +230,15 @@ struct Workspace {
       stamp.assign(static_cast<std::size_t>(nrows), -1);
       spa_token = 0;
     }
+  }
+
+  /// Bytes held by the workspace's buffers (their capacities).
+  [[nodiscard]] std::uint64_t bytes() const {
+    return hslots.capacity() * sizeof(HSlot) + hvals.capacity() * sizeof(StoredT) +
+           accum.capacity() * sizeof(StoredT) + bits.capacity() * sizeof(std::uint64_t) +
+           stamp.capacity() * sizeof(index_t) + touched.capacity() * sizeof(index_t) +
+           extracted.capacity() * sizeof(std::pair<index_t, index_t>) +
+           heap.capacity() * sizeof(HeapEntry);
   }
 };
 
@@ -554,58 +564,143 @@ void run_range(const CscMatrix<VT>& a, const CscMatrix<VT>& b, index_t jlo, inde
   }
 }
 
-/// Value-only replay over columns [jlo, jhi) of a product whose row ids are
-/// known (`rows`, laid out by `colptr`): per column, seed the known rows in
-/// the dense accumulator, ⊕ every product in (B-position, A-position)
-/// order, gather in the known row order. No class dispatch, sort, bitmap
-/// scan or row-id write. Semirings without an exact seed (ReplaySeed) store
-/// each row's first product through the per-row stamp instead, like the
-/// stamp-SPA class — the only branch, resolved at compile time.
+/// Replay of a dense-class column (kClassSpa, kClassSpaSort — the classes
+/// whose numeric pass already holds the O(nrows) accumulator): seed the
+/// known rows in `accum`, ⊕ every product in (B-position, A-position)
+/// order with no branch, gather in the known row order. Semirings without
+/// an exact seed (ReplaySeed) store each row's first product behind the
+/// occupancy bitmap instead, like the SPA class — resolved at compile time
+/// — and clear the column's bitmap words from the known rows, not by a
+/// scan.
 template <SemiringConcept SR, typename VT>
-void replay_range(const CscMatrix<VT>& a, const CscMatrix<VT>& b, index_t jlo, index_t jhi,
-                  const index_t* colptr, const index_t* rows, Workspace<SR>& ws, VT* vals) {
+void replay_dense_col(Workspace<SR>& ws, const CscMatrix<VT>& a, const CscMatrix<VT>& b,
+                      index_t j, const index_t* rows, index_t cnt, VT* out_vals) {
   using T = typename SR::value_type;
   using StoredT = typename Workspace<SR>::StoredT;
   constexpr bool kSeeded = ReplaySeed<SR>::exact;
-  if constexpr (kSeeded)
-    ws.ensure_dense(a.nrows());
-  else
-    ws.ensure_stamp(a.nrows());
+  ws.ensure_dense(a.nrows());
   StoredT* accum = ws.accum.data();
-  index_t* stamp = ws.stamp.data();
+  [[maybe_unused]] std::uint64_t* bits = ws.bits.data();
+  if constexpr (kSeeded) {
+    const auto seed = static_cast<StoredT>(ReplaySeed<SR>::value());
+    for (index_t i = 0; i < cnt; ++i) accum[rows[i]] = seed;
+  }
   const index_t* acp = a.colptr().data();
   const index_t* arw = a.rowids().data();
   const VT* avl = a.vals().data();
-  const index_t* bcp = b.colptr().data();
-  const index_t* brw = b.rowids().data();
-  const VT* bvl = b.vals().data();
-  for (index_t j = jlo; j < jhi; ++j) {
-    const index_t lo = colptr[j], hi = colptr[j + 1];
-    if (lo == hi) continue;
-    [[maybe_unused]] index_t token = 0;
-    if constexpr (kSeeded) {
-      const auto seed = static_cast<StoredT>(ReplaySeed<SR>::value());
-      for (index_t i = lo; i < hi; ++i) accum[rows[i]] = seed;
-    } else {
-      token = ++ws.spa_token;
-    }
-    for (index_t p = bcp[j]; p < bcp[j + 1]; ++p) {
-      const index_t k = brw[p];
-      const T bv = static_cast<T>(bvl[p]);
-      for (index_t q = acp[k]; q < acp[k + 1]; ++q) {
-        const index_t r = arw[q];
-        const T prod = SR::multiply(static_cast<T>(avl[q]), bv);
-        if constexpr (kSeeded) {
-          accum[r] = static_cast<StoredT>(SR::add(static_cast<T>(accum[r]), prod));
-        } else if (stamp[r] != token) {
-          stamp[r] = token;
+  auto bks = b.col_rows(j);
+  auto bvs = b.col_vals(j);
+  for (std::size_t p = 0; p < bks.size(); ++p) {
+    const index_t k = bks[p];
+    const T bv = static_cast<T>(bvs[p]);
+    for (index_t q = acp[k]; q < acp[k + 1]; ++q) {
+      const index_t r = arw[q];
+      const T prod = SR::multiply(static_cast<T>(avl[q]), bv);
+      if constexpr (kSeeded) {
+        accum[r] = static_cast<StoredT>(SR::add(static_cast<T>(accum[r]), prod));
+      } else {
+        const auto w = static_cast<std::size_t>(r) >> 6;
+        const std::uint64_t bit = std::uint64_t{1} << (r & 63);
+        if ((bits[w] & bit) == 0) {
+          bits[w] |= bit;
           accum[r] = static_cast<StoredT>(prod);
         } else {
           accum[r] = static_cast<StoredT>(SR::add(static_cast<T>(accum[r]), prod));
         }
       }
     }
-    for (index_t i = lo; i < hi; ++i) vals[i] = static_cast<VT>(accum[rows[i]]);
+  }
+  for (index_t i = 0; i < cnt; ++i) out_vals[i] = static_cast<VT>(accum[rows[i]]);
+  if constexpr (!kSeeded)
+    for (index_t i = 0; i < cnt; ++i) bits[static_cast<std::size_t>(rows[i]) >> 6] = 0;
+}
+
+/// Replay of a sparse-class column (kClassHash, and multi-list kClassHeap)
+/// through the open-addressing table sized to the column's known nnz — no
+/// O(nrows) state, so a hypersparse Ã·B̃ keeps the footprint of its class
+/// pass. The known rows are inserted first, so every probe for a known row
+/// ends at its slot; then every product is ⊕-folded in (B-position,
+/// A-position) order and the values are gathered in the known row order.
+/// Two generation tags per column: `seeded` marks an inserted row,
+/// `seeded + 1` a row whose first product was stored — the first-touch
+/// path of semirings without an exact seed.
+template <SemiringConcept SR, typename VT>
+void replay_hash_col(Workspace<SR>& ws, const CscMatrix<VT>& a, const CscMatrix<VT>& b,
+                     index_t j, const index_t* rows, index_t cnt, VT* out_vals) {
+  using T = typename SR::value_type;
+  using StoredT = typename Workspace<SR>::StoredT;
+  constexpr bool kSeeded = ReplaySeed<SR>::exact;
+  ws.ensure_hash_capacity(cnt);
+  const std::uint64_t seeded = ws.gen + 1;
+  ws.gen += 2;  // the next column's tags are above both of this column's
+  auto* slots = ws.hslots.data();
+  StoredT* hvals = ws.hvals.data();
+  const std::size_t mask = ws.hslots.size() - 1;
+  // Probe for row r: stops at r's slot (or at an empty one if r is not a
+  // known row, which a matching structure rules out).
+  auto slot_of = [&](index_t r) {
+    std::size_t h = hash_mix(r) & mask;
+    while (slots[h].gen >= seeded && slots[h].key != r) h = (h + 1) & mask;
+    return h;
+  };
+  for (index_t i = 0; i < cnt; ++i) {
+    const std::size_t h = slot_of(rows[i]);
+    slots[h] = {rows[i], seeded};
+    if constexpr (kSeeded) hvals[h] = static_cast<StoredT>(ReplaySeed<SR>::value());
+  }
+  const index_t* acp = a.colptr().data();
+  const index_t* arw = a.rowids().data();
+  const VT* avl = a.vals().data();
+  auto bks = b.col_rows(j);
+  auto bvs = b.col_vals(j);
+  for (std::size_t p = 0; p < bks.size(); ++p) {
+    const index_t k = bks[p];
+    const T bv = static_cast<T>(bvs[p]);
+    for (index_t q = acp[k]; q < acp[k + 1]; ++q) {
+      const T prod = SR::multiply(static_cast<T>(avl[q]), bv);
+      const std::size_t h = slot_of(arw[q]);
+      if constexpr (kSeeded) {
+        hvals[h] = static_cast<StoredT>(SR::add(static_cast<T>(hvals[h]), prod));
+      } else if (slots[h].gen == seeded) {
+        slots[h].gen = seeded + 1;
+        hvals[h] = static_cast<StoredT>(prod);
+      } else {
+        hvals[h] = static_cast<StoredT>(SR::add(static_cast<T>(hvals[h]), prod));
+      }
+    }
+  }
+  for (index_t i = 0; i < cnt; ++i) out_vals[i] = static_cast<VT>(hvals[slot_of(rows[i])]);
+}
+
+/// Value-only replay over columns [jlo, jhi) of a product whose row ids are
+/// known (`rows`, laid out by `colptr`). Each column replays in the
+/// footprint of the class its numeric pass used: dense classes through the
+/// row-indexed accumulator, sparse classes through the hash table, and a
+/// one-list heap column (the output is that A column, scaled) as a scaled
+/// copy. Every form applies ⊕ in the reference order, so the values are
+/// those of the class numeric pass; none sorts, scans a bitmap or writes a
+/// row id.
+template <SemiringConcept SR, typename VT>
+void replay_range(const CscMatrix<VT>& a, const CscMatrix<VT>& b, index_t jlo, index_t jhi,
+                  const index_t* colptr, std::span<const std::uint8_t> klass, const index_t* rows,
+                  Workspace<SR>& ws, VT* vals) {
+  using T = typename SR::value_type;
+  for (index_t j = jlo; j < jhi; ++j) {
+    const index_t lo = colptr[j], cnt = colptr[j + 1] - lo;
+    if (cnt == 0) continue;
+    const auto cls = klass[static_cast<std::size_t>(j)];
+    if (cls == kClassSpa || cls == kClassSpaSort) {
+      replay_dense_col<SR, VT>(ws, a, b, j, rows + lo, cnt, vals + lo);
+    } else if (cls == kClassHeap && b.col_nnz(j) == 1) {
+      const T bv = static_cast<T>(b.col_vals(j)[0]);
+      auto avs = a.col_vals(b.col_rows(j)[0]);
+      const index_t n = std::min(cnt, static_cast<index_t>(avs.size()));
+      for (index_t i = 0; i < n; ++i)
+        vals[lo + i] = static_cast<VT>(
+            SR::multiply(static_cast<T>(avs[static_cast<std::size_t>(i)]), bv));
+    } else {
+      replay_hash_col<SR, VT>(ws, a, b, j, rows + lo, cnt, vals + lo);
+    }
   }
 }
 
@@ -736,7 +831,10 @@ CscMatrix<VT> spgemm_local_numeric(const CscMatrix<VT>& a, const CscMatrix<VT>& 
 /// returned them (laid out by sym.colptr). Bit-identical to the values of
 /// spgemm_local_numeric for every semiring: same per-row ⊕ order, and the
 /// first product enters through an exact seed or a per-row stamp (see
-/// ReplaySeed). Work is split over sym.bounds like the numeric pass.
+/// ReplaySeed). Work is split over sym.bounds like the numeric pass, and
+/// each column replays in the footprint of its class (sym.klass): only
+/// dense-class columns touch the O(nrows) accumulator, so the replay's
+/// workspace never outgrows the class pass's.
 template <SemiringConcept SR, typename VT>
 void spgemm_local_replay(const CscMatrix<VT>& a, const CscMatrix<VT>& b, const LocalSymbolic& sym,
                          std::span<const index_t> rows, std::span<VT> vals,
@@ -756,7 +854,8 @@ void spgemm_local_replay(const CscMatrix<VT>& a, const CscMatrix<VT>& b, const L
   detail::parallel_for_parts(sym.nt, [&](int t) {
     detail::replay_range<SR, VT>(a, b, sym.bounds[static_cast<std::size_t>(t)],
                                  sym.bounds[static_cast<std::size_t>(t) + 1], sym.colptr.data(),
-                                 rows.data(), ws[static_cast<std::size_t>(t)], vals.data());
+                                 sym.klass, rows.data(), ws[static_cast<std::size_t>(t)],
+                                 vals.data());
   });
 }
 

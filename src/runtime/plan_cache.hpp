@@ -103,6 +103,9 @@ class PlanCache {
     std::uint64_t bytes = 0;  ///< agreed (max-over-ranks) residency
     std::uint64_t seq = 0;    ///< monotonic admission ordinal (vote digest payload)
     bool pinned = false;      ///< live batch member: immune to eviction
+    /// Build count whose first replay `bytes` already includes (a plan's
+    /// first replay can grow it; see reagree_after_hit).
+    int replayed_build = 0;
   };
 
   /// `budget_bytes` = 0 disables eviction; `demote_window` is the hop window
@@ -199,6 +202,21 @@ class PlanCache {
   /// which members had pinned before the error).
   void unpin_all() {
     for (auto& e : entries_) e.pinned = false;
+  }
+
+  /// Re-agrees a hit entry's residency when the hit changed it: after a
+  /// self-healing rebuild (`rebuilt`), and after the first replay of each
+  /// build — that replay captures the plan's replay structure (a grid
+  /// plan's stage row ids and value scratch), which the figure agreed right
+  /// after the build does not hold. Build counts are identical on every
+  /// rank, so every rank takes the same branch. Returns whether `bytes`
+  /// was re-agreed (the caller then enforces the budget).
+  bool reagree_after_hit(Comm& comm, Entry* e, bool rebuilt) {
+    const int builds = e->plan->builds();
+    if (!rebuilt && e->replayed_build == builds) return false;
+    if (!rebuilt) e->replayed_build = builds;
+    e->bytes = cachedetail::agree_max_bytes(comm, e->plan->bytes_resident());
+    return true;
   }
 
   void record_hit(Comm& comm, Algo chosen) {
@@ -308,12 +326,10 @@ DistMatrix1D<VT> spgemm_dist_cached_mt(Comm& comm,
     const int builds_before = entry->plan->builds();
     c = spgemm_dist_cached<SRIn>(comm, *entry->plan, a, b, opt, stats);
     cache.record_hit(comm, entry->plan->chosen());
-    if (entry->plan->builds() != builds_before) {
-      // Self-healing rebuilt the plan in place; the agreed residency (and
-      // the budget) follow suit.
-      entry->bytes = cachedetail::agree_max_bytes(comm, entry->plan->bytes_resident());
+    // A self-healing rebuild or a first replay changed the plan's residency;
+    // the agreed bytes (and the budget) follow suit.
+    if (cache.reagree_after_hit(comm, entry, entry->plan->builds() != builds_before))
       cache.enforce_budget(comm, entry);
-    }
   } else {
     auto& e = cache.admit(fp, opt);
     try {

@@ -373,6 +373,74 @@ TEST(PlanCacheLru, TouchOrderIsMruFirst) {
   });
 }
 
+TEST(PlanCacheLru, FirstReplayReagreesGridResidency) {
+  // A grid plan's first replay keeps its stage row ids and value scratch.
+  // The cache must count them: a budget that holds both tenants as built,
+  // but not tenant 0 as replayed, evicts tenant 1 on tenant 0's first hit —
+  // sequentially and in a batch alike.
+  std::vector<CscMatrix<double>> tenants;
+  tenants.push_back(block_clustered<double>(110, 5, 4.0, 0.4, 47));
+  tenants.push_back(erdos_renyi<double>(110, 3.0, 53));
+  DistSpgemmOptions opt;
+  opt.algo = Algo::Summa2D;
+
+  // Pass 1 (unbounded): each tenant's agreed bytes as built, and after its
+  // first and second hits.
+  std::vector<std::uint64_t> built(2, 0), replayed(2, 0);
+  {
+    Machine m(4);
+    m.run([&](Comm& c) {
+      PlanCache<double> cache;
+      for (std::size_t i = 0; i < 2; ++i) {
+        auto da = DistMatrix1D<double>::from_global(c, with_values(tenants[i], 1));
+        spgemm_dist_cached_mt(c, cache, da, da, opt);
+        const auto& e = cache.entries().front();
+        const std::uint64_t b = e.bytes;
+        spgemm_dist_cached_mt(c, cache, da, da, opt);
+        const std::uint64_t r = e.bytes;
+        EXPECT_EQ(r, c.allreduce_max(e.plan->bytes_resident()));
+        spgemm_dist_cached_mt(c, cache, da, da, opt);
+        EXPECT_EQ(e.bytes, r) << "only the first replay grows a grid plan";
+        if (c.rank() == 0) {
+          built[i] = b;
+          replayed[i] = r;
+        }
+      }
+    });
+  }
+  for (std::size_t i = 0; i < 2; ++i) ASSERT_GT(replayed[i], built[i]) << "tenant " << i;
+  const std::uint64_t budget = built[0] + built[1];
+  ASSERT_LE(replayed[0], budget);
+
+  for (const bool batched : {false, true}) {
+    Machine m(4);
+    m.run([&](Comm& c) {
+      PlanCache<double> cache(budget, /*demote_window=*/0);
+      std::vector<DistMatrix1D<double>> ops;
+      for (std::size_t i = 0; i < 2; ++i)
+        ops.push_back(DistMatrix1D<double>::from_global(c, with_values(tenants[i], 2)));
+      spgemm_dist_cached_mt(c, cache, ops[0], ops[0], opt);
+      spgemm_dist_cached_mt(c, cache, ops[1], ops[1], opt);
+      EXPECT_EQ(cache.size(), 2u);
+      EXPECT_EQ(cache.stats().evictions, 0u);
+      DistMatrix1D<double> got;
+      if (batched) {
+        std::vector<std::pair<const DistMatrix1D<double>*, const DistMatrix1D<double>*>> items{
+            {&ops[0], &ops[0]}};
+        got = std::move(spgemm_dist_batched(c, cache, items, opt)[0]);
+      } else {
+        got = spgemm_dist_cached_mt(c, cache, ops[0], ops[0], opt);
+      }
+      EXPECT_EQ(cache.stats().evictions, 1u) << "batched=" << batched;
+      EXPECT_TRUE(cache.contains(ops[0], ops[0], opt));
+      EXPECT_FALSE(cache.contains(ops[1], ops[1], opt)) << "batched=" << batched;
+      EXPECT_EQ(cache.stats().bytes_resident, replayed[0]);
+      EXPECT_EQ(c.report().cache_bytes_resident, replayed[0]);
+      EXPECT_TRUE(got.local() == spgemm_dist(c, ops[0], ops[0], opt).local());
+    });
+  }
+}
+
 // ---- windowed-hop demotion: shed bytes, stay replayable -------------------
 
 TEST(PlanCacheLru, RingDemotionFallbackStaysBitIdentical) {

@@ -278,11 +278,12 @@ bool is_signaling_nan(double x) {
 template <typename SR>
 CscMatrix<double> expect_replay_matches(const CscMatrix<double>& a, const CscMatrix<double>& b,
                                         const CscMatrix<double>& a2, const CscMatrix<double>& b2,
-                                        const std::string& what) {
+                                        const std::string& what,
+                                        LocalKernel kernel = LocalKernel::Hybrid) {
   CscMatrix<double> ref1;
   for (int t : kReplayThreads) {
     std::vector<detail::Workspace<SR>> ws;
-    auto sym = spgemm_local_symbolic<SR, double>(a, b, LocalKernel::Hybrid, t, &ws);
+    auto sym = spgemm_local_symbolic<SR, double>(a, b, kernel, t, &ws);
     EXPECT_EQ(sym.nt, t) << what << ": the instance must engage " << t << " threads";
     auto captured = spgemm_local_numeric<SR, double>(a, b, sym, &ws);
     auto ref = spgemm_local<SR, double>(a2, b2, LocalKernel::Hybrid, t);
@@ -322,6 +323,22 @@ CscMatrix<double> hyper_a() {
 }
 CscMatrix<double> hyper_b() { return adversarial(60, 400, 44); }
 
+/// Hypersparse with no wide columns: 2^18 rows and every product column
+/// below nrows/64 flops, so Hybrid picks only the heap and hash classes —
+/// the Ã·B̃ shape whose class pass holds no O(nrows) state.
+CscMatrix<double> thin_hyper_a() {
+  const index_t m = index_t{1} << 18;
+  SplitMix64 g(45);
+  CooMatrix<double> coo(m, 60);
+  for (index_t j = 0; j < 60; ++j) {
+    const std::uint64_t cnt = g.below(3) == 0 ? 0 : 1 + g.below(12);
+    for (std::uint64_t e = 0; e < cnt; ++e)
+      coo.push(static_cast<index_t>(g.below(static_cast<std::uint64_t>(m))), j, 1.0);
+  }
+  coo.canonicalize();
+  return CscMatrix<double>::from_coo(coo);
+}
+
 std::set<int> classes_of(const CscMatrix<double>& a, const CscMatrix<double>& b) {
   auto sym = spgemm_local_symbolic<PlusTimes<double>, double>(a, b);
   std::set<int> out;
@@ -335,6 +352,60 @@ TEST(ReplayKernel, InstancesCoverEveryColumnClass) {
             (std::set<int>{detail::kClassHeap, detail::kClassSpa, detail::kClassSpaSort}));
   EXPECT_EQ(classes_of(hyper_a(), hyper_b()),
             (std::set<int>{detail::kClassHeap, detail::kClassHash, detail::kClassSpa}));
+}
+
+template <typename SR>
+void expect_replay_keeps_class_footprint(const CscMatrix<double>& a, const CscMatrix<double>& b,
+                                         Regime regime) {
+  const auto a2 = revalued(a, regime, 51), b2 = revalued(b, regime, 52);
+  for (int t : kReplayThreads) {
+    std::vector<detail::Workspace<SR>> ws;
+    auto sym = spgemm_local_symbolic<SR, double>(a, b, LocalKernel::Hybrid, t, &ws);
+    auto c = spgemm_local_numeric<SR, double>(a, b, sym, &ws);
+    std::vector<std::uint64_t> before;
+    for (const auto& w : ws) before.push_back(w.bytes());
+    auto ref = spgemm_local<SR, double>(a2, b2, LocalKernel::Hybrid, t);
+    std::vector<double> vals(ref.vals().size());
+    for (int pass = 0; pass < 2; ++pass) {
+      spgemm_local_replay<SR, double>(a2, b2, sym, c.rowids(), vals, &ws);
+      EXPECT_TRUE(same_bits(vals, ref.vals())) << "t=" << t << " pass " << pass;
+    }
+    for (std::size_t i = 0; i < ws.size(); ++i) {
+      EXPECT_EQ(ws[i].bytes(), before[i]) << "t=" << t << " workspace " << i;
+      EXPECT_EQ(ws[i].accum.capacity(), 0u) << "t=" << t << " workspace " << i;
+      EXPECT_EQ(ws[i].bits.capacity(), 0u) << "t=" << t << " workspace " << i;
+      EXPECT_EQ(ws[i].stamp.capacity(), 0u) << "t=" << t << " workspace " << i;
+    }
+  }
+}
+
+TEST(ReplayKernel, HypersparseReplayKeepsTheClassFootprint) {
+  // Only heap and hash columns: the class pass holds no O(nrows) buffer,
+  // and the replay must not add one (nor grow any other buffer), with an
+  // exact seed and on the first-touch path alike.
+  const auto a = thin_hyper_a(), b = hyper_b();
+  ASSERT_EQ(classes_of(a, b), (std::set<int>{detail::kClassHeap, detail::kClassHash}));
+  expect_replay_keeps_class_footprint<PlusTimes<double>>(a, b, Regime::Zeros);
+  expect_replay_keeps_class_footprint<MinPlus<double>>(a, b, Regime::Specials);
+}
+
+TEST(ReplayKernel, ForcedKernelsReplay) {
+  // Every accumulator class can be forced for all columns: heap columns of
+  // any width replay through the hash table, and Spa's columns through the
+  // dense accumulator.
+  const auto a = classes_a(), b = classes_b();
+  const auto ha = hyper_a(), hb = hyper_b();
+  for (auto k : {LocalKernel::Spa, LocalKernel::Heap, LocalKernel::Hash}) {
+    const std::string name = kernel_name(k);
+    expect_replay_matches<PlusTimes<double>>(a, b, revalued(a, Regime::Zeros, 61),
+                                             revalued(b, Regime::Zeros, 62), name + " zeros", k);
+    expect_replay_matches<MinPlus<double>>(a, b, revalued(a, Regime::Specials, 63),
+                                           revalued(b, Regime::Specials, 64),
+                                           name + " specials", k);
+    expect_replay_matches<PlusSelect2nd<double>>(ha, hb, revalued(ha, Regime::Zeros, 65),
+                                                 revalued(hb, Regime::Signaling, 66),
+                                                 name + " hyper signaling", k);
+  }
 }
 
 TEST(ReplayKernel, SeedsAreExactLeftIdentities) {
